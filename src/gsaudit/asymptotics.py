@@ -26,7 +26,7 @@ import numpy as np
 
 from .audit import EnergyTable, pair_specific
 from .geometry import SPHERE
-from .potentials import COULOMB, LOG, RIESZ, PotentialSpec
+from .potentials import LOG, RIESZ, PotentialSpec
 
 LOG_SPHERE = "log-sphere"
 THOMSON_SPHERE = "thomson-sphere"
@@ -175,12 +175,8 @@ def check_model_compatibility(table: EnergyTable, model: AsymptoticModel) -> Non
     if model.family == LOG_SPHERE:
         if pot.kind != LOG:
             raise ValueError("the log-sphere model requires the logarithmic kernel")
-    else:
-        is_inverse_r = (pot.kind == RIESZ and pot.exponent == -1.0) or (
-            pot.kind == COULOMB and pot.dimension == 3
-        )
-        if not is_inverse_r:
-            raise ValueError("the thomson-sphere model requires the 1/r kernel")
+    elif not (pot.kind == RIESZ and pot.exponent == -1.0):
+        raise ValueError("the thomson-sphere model requires the 1/r kernel")
 
 
 def residuals(table: EnergyTable, model: AsymptoticModel) -> list[tuple[int, float]]:

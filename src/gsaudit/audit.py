@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .geometry import DomainSpec
@@ -65,9 +66,15 @@ class EnergyTable:
     metadata: TableMetadata = field(default_factory=TableMetadata)
 
     def add(self, n: int, energy: float, label: str = "") -> bool:
-        """Insert an entry under the keep-lower rule; returns True if it was kept."""
+        """Insert an entry under the keep-lower rule; returns True if it was kept.
+
+        Raises ValueError for N < 2 or a non-finite energy, which no
+        configuration has.
+        """
         if n < 2:
             raise ValueError(f"table rows need N >= 2, got N={n}")
+        if not math.isfinite(energy):
+            raise ValueError(f"energy at N={n} must be finite, got {energy!r}")
         old = self.entries.get(n)
         if old is not None:
             if energy >= old.energy:

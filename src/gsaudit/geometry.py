@@ -115,11 +115,6 @@ class Configuration:
                 raise ValueError("torus angles must lie in [0, 2*pi)")
 
 
-def validate_point(p: np.ndarray, domain: DomainSpec, atol: float = 1e-12) -> None:
-    """Single-point version of :meth:`Configuration.validate`."""
-    Configuration(domain, np.asarray(p, dtype=float)[None, :]).validate(atol)
-
-
 def embed_points(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
     """Map an (N, k) array of intrinsic coordinates to (N, 3) ambient coordinates.
 

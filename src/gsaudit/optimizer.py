@@ -12,6 +12,7 @@ ties between restarts (energies within 1e-14) go to the lowest restart index.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .potentials import (
     total_energy_of_points,
     validate_domain_potential,
 )
+
+logger = logging.getLogger(__name__)
 
 # Energies closer than this are treated as equal when picking the best restart.
 _TIE_WIDTH = 1e-14
@@ -186,5 +189,10 @@ def build_table(
     )
     for n in sorted(set(n_values)):
         result = multistart(domain, pot, n, settings)
+        if not result.converged:
+            logger.warning(
+                "N=%d: best restart %d did not converge (gradient norm %.3g)",
+                n, result.restart_index, result.gradient_norm,
+            )
         table.add(n, result.energy, label=label)
     return table

@@ -2,15 +2,17 @@
 
 Supported kernels: the 2-D Coulomb (logarithmic) interaction -ln r, the
 power-law family -sign(s) * r^s for real s < 2 (s = 0 is represented by the
-logarithmic kernel, its limit), D-dimensional Coulomb r^(2-D) for integer
-D >= 3 (identical to the power-law family at exponent 2 - D), and the
-Lennard-Jones interaction r^-12 - r^-6 (free 3-space only).
+logarithmic kernel, its limit), and the Lennard-Jones interaction
+r^-12 - r^-6 (free 3-space only).  The D-dimensional Coulomb kernel r^(2-D)
+is the power law at s = 2 - D; :func:`coulomb` builds it as such.
 
 Total energies are sums over all unordered pairs of the kernel evaluated at
 the chordal distance.  Summation uses exact compensated accumulation
 (``math.fsum``) so that 12-significant-digit reference energies reproduce and
-permuting the point list cannot change the result.  Evaluation is O(N^2) per
-call, which is fine at the desk scales this package targets.
+permuting the point list cannot change the result.  Every kernel formula is
+written once, in ``_kernel``, which the energy, the gradient and the scalar
+views all call.  Evaluation is O(N^2) per call, which is fine at the desk
+scales this package targets.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .geometry import FREE3, Configuration, DomainSpec, embed_points, tangent_pr
 
 LOG = "log"
 RIESZ = "riesz"
-COULOMB = "coulomb"
 LENNARD_JONES = "lj"
 
-_KINDS = (LOG, RIESZ, COULOMB, LENNARD_JONES)
+_KINDS = (LOG, RIESZ, LENNARD_JONES)
 
 
 class CoincidentPointsError(ValueError):
@@ -38,14 +39,13 @@ class CoincidentPointsError(ValueError):
 class PotentialSpec:
     """A pair interaction kernel.
 
-    ``exponent`` is the power-law exponent s; for the D-dimensional Coulomb
-    kernel it is stored as 2 - D so that both spellings evaluate through the
-    identical arithmetic path.  ``dimension`` is only set for that kernel.
+    ``exponent`` is the power-law exponent s and is set only for the
+    ``riesz`` kind; the D-dimensional Coulomb kernel is that kind with
+    s = 2 - D.
     """
 
     kind: str
     exponent: float | None = None
-    dimension: int | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -55,13 +55,7 @@ class PotentialSpec:
             if s is None or not s < 2.0 or s == 0.0:
                 raise ValueError("power-law exponent must satisfy s < 2 and s != 0 "
                                  "(use the log kernel for the s = 0 limit)")
-        elif self.kind == COULOMB:
-            d = self.dimension
-            if d is None or d != int(d) or d < 3:
-                raise ValueError("Coulomb dimension must be an integer >= 3")
-            if self.exponent != 2.0 - d:
-                raise ValueError("Coulomb exponent must equal 2 - dimension")
-        elif self.exponent is not None or self.dimension is not None:
+        elif self.exponent is not None:
             raise ValueError(f"{self.kind!r} takes no parameters")
 
 
@@ -76,9 +70,10 @@ def riesz(s: float) -> PotentialSpec:
 
 
 def coulomb(dimension: int) -> PotentialSpec:
-    """The D-dimensional Coulomb kernel r^(2-D); D = 3 gives the classic 1/r."""
-    d = int(dimension)
-    return PotentialSpec(COULOMB, exponent=2.0 - d, dimension=d)
+    """The D-dimensional Coulomb kernel r^(2-D), i.e. ``riesz(2 - D)``; D = 3 gives 1/r."""
+    if dimension != int(dimension) or dimension < 3:
+        raise ValueError("Coulomb dimension must be an integer >= 3")
+    return riesz(2 - int(dimension))
 
 
 def lennard_jones() -> PotentialSpec:
@@ -92,6 +87,21 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
+def _kernel(pot: PotentialSpec, r2):
+    """U(r) and U'(r)/r at squared separations r2 > 0 (a float or an array).
+
+    The one place where each kernel's formula is written.
+    """
+    if pot.kind == LOG:
+        return -0.5 * np.log(r2), -1.0 / r2
+    if pot.kind == LENNARD_JONES:
+        inv6 = r2 ** -3.0
+        return inv6 * inv6 - inv6, (6.0 * inv6 - 12.0 * inv6 * inv6) / r2
+    s = pot.exponent
+    u = r2 ** (0.5 * s)
+    return -math.copysign(1.0, s) * u, -abs(s) * u / r2
+
+
 def pair_energy(pot: PotentialSpec, r: float) -> float:
     """Kernel value at separation r >= 0.
 
@@ -101,62 +111,48 @@ def pair_energy(pot: PotentialSpec, r: float) -> float:
     if r < 0.0:
         raise ValueError("separation must be nonnegative")
     if r == 0.0:
-        if pot.kind == RIESZ and pot.exponent > 0.0:
-            return 0.0
-        return math.inf
-    if pot.kind == LOG:
-        return -math.log(r)
-    if pot.kind == LENNARD_JONES:
-        inv6 = r ** -6.0
-        return inv6 * inv6 - inv6
-    s = pot.exponent
-    return -math.copysign(1.0, s) * r ** s
+        return 0.0 if pot.kind == RIESZ and pot.exponent > 0.0 else math.inf
+    return float(_kernel(pot, r * r)[0])
 
 
 def radial_derivative(pot: PotentialSpec, r: float) -> float:
     """d/dr of the kernel at separation r > 0."""
     if r <= 0.0:
         raise ValueError("separation must be positive")
-    if pot.kind == LOG:
-        return -1.0 / r
-    if pot.kind == LENNARD_JONES:
-        return -12.0 * r ** -13.0 + 6.0 * r ** -7.0
-    s = pot.exponent
-    return -abs(s) * r ** (s - 1.0)
+    return float(_kernel(pot, r * r)[1]) * r
 
 
-def _pair_energies(pot: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """Vectorized kernel over an array of positive separations."""
-    if pot.kind == LOG:
-        return -np.log(r)
-    if pot.kind == LENNARD_JONES:
-        inv6 = r ** -6.0
-        return inv6 * inv6 - inv6
-    s = pot.exponent
-    return -math.copysign(1.0, s) * r ** s
+def _squared_separations(x: np.ndarray) -> np.ndarray:
+    """(N, N) squared distances between the rows of x, from direct differences.
 
-
-def _pair_separations(embedded: np.ndarray) -> np.ndarray:
-    """Condensed vector of the N(N-1)/2 pairwise distances."""
-    i, j = np.triu_indices(embedded.shape[0], 1)
-    diff = embedded[i] - embedded[j]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    Built one coordinate at a time, so no (N, N, 3) array is formed.  The
+    result is exactly symmetric with an exactly zero diagonal, and a pair of
+    identical rows gives an exact zero.
+    """
+    n = x.shape[0]
+    r2 = np.zeros((n, n))
+    d = np.empty((n, n))
+    for col in x.T:
+        np.subtract(col[:, None], col, out=d)
+        d *= d
+        r2 += d
+    return r2
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
     """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf."""
     validate_domain_potential(domain, pot)
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         raise ValueError("energy needs at least two points")
-    r = _pair_separations(embed_points(points, domain))
-    zero = r == 0.0
+    # ~tri is the strict upper triangle: each unordered pair once.
+    r2 = _squared_separations(embed_points(points, domain))[~np.tri(n, dtype=bool)]
+    zero = r2 == 0.0
     if zero.any():
         if not (pot.kind == RIESZ and pot.exponent > 0.0):
             return math.inf
-        r = r[~zero]
-        if r.size == 0:
-            return 0.0
-    return math.fsum(_pair_energies(pot, r))
+        r2 = r2[~zero]
+    return math.fsum(_kernel(pot, r2)[0])
 
 
 def total_energy(config: Configuration, pot: PotentialSpec) -> float:
@@ -173,26 +169,16 @@ def energy_gradient_of_points(
 ) -> np.ndarray:
     """Tangent gradient for an (N, k) intrinsic array; see :func:`energy_gradient`."""
     validate_domain_potential(domain, pot)
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         raise ValueError("gradient needs at least two points")
     x = embed_points(points, domain)
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(r2[off] == 0.0):
-        raise CoincidentPointsError("coincident points: gradient undefined")
+    r2 = _squared_separations(x)
     np.fill_diagonal(r2, 1.0)
-    r = np.sqrt(r2)
-    if pot.kind == LOG:
-        weight = -1.0 / r2
-    elif pot.kind == LENNARD_JONES:
-        weight = -12.0 * r ** -14.0 + 6.0 * r ** -8.0
-    else:
-        s = pot.exponent
-        weight = -abs(s) * r ** (s - 2.0)
-    np.fill_diagonal(weight, 0.0)
-    grad = np.einsum("ij,ijk->ik", weight, diff)
+    if not r2.all():
+        raise CoincidentPointsError("coincident points: gradient undefined")
+    w = _kernel(pot, r2)[1]
+    np.fill_diagonal(w, 0.0)
+    grad = x * w.sum(axis=1)[:, None] - w @ x
     return tangent_project_points(points, grad, domain)
 
 

@@ -181,6 +181,13 @@ class TestEnergyTableIngestion:
         with pytest.raises(ValueError):
             EnergyTable().add(1, 0.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        t = EnergyTable()
+        with pytest.raises(ValueError, match="finite"):
+            t.add(5, energy)
+        assert t.entries == {}
+
     def test_digest_ignores_labels_and_order(self):
         a = EnergyTable()
         a.add(2, 0.5, label="x")

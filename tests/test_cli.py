@@ -209,6 +209,17 @@ class TestAuditCommand:
             )
             assert r["bound"] == expected
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_exit_two(self, token, tmp_path, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"2\t0.5\n3\t{token}\n4\t3.6\n", encoding="utf-8")
+        rc = main(["audit", "--input", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "bad.tsv:2" in captured.err
+        assert "no violations" not in captured.out
+        assert "improved bound" not in captured.out
+
     def test_explicit_tolerance_flag(self, capsys):
         rc = main([
             "audit", "--input", str(fixture_path("log_sphere_pair_n97.tsv")),

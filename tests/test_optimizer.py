@@ -176,6 +176,20 @@ class TestBuildTable:
         assert "restarts=5" in table.entries[2].label
         assert "seed=9" in table.entries[2].label
 
+    def test_unconverged_best_restart_warns(self, caplog):
+        settings = OptimizerSettings(restarts=2, seed=1, max_iterations=1)
+        with caplog.at_level("WARNING", logger="gsaudit.optimizer"):
+            build_table(sphere(), INVERSE_R, [7], settings)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "N=7" in messages[0] and "gradient norm" in messages[0]
+
+    def test_converged_rows_do_not_warn(self, caplog):
+        settings = OptimizerSettings(restarts=2, seed=1, gradient_tolerance=1e-8)
+        with caplog.at_level("WARNING", logger="gsaudit.optimizer"):
+            build_table(sphere(), INVERSE_R, [2, 3], settings)
+        assert not caplog.records
+
     def test_single_row_table(self):
         settings = OptimizerSettings(restarts=5, seed=1)
         table = build_table(sphere(), INVERSE_R, [2], settings)

@@ -5,6 +5,7 @@ import pytest
 
 from gsaudit.geometry import (
     Configuration,
+    embed_points,
     free3,
     random_configuration,
     retract_points,
@@ -17,6 +18,7 @@ from gsaudit.potentials import (
     CoincidentPointsError,
     coulomb,
     energy_gradient,
+    energy_gradient_of_points,
     lennard_jones,
     log_coulomb,
     pair_energy,
@@ -215,3 +217,51 @@ class TestEnergyGradient:
                              ids=lambda p: f"{p.kind}{p.exponent or ''}")
     def test_matches_finite_differences_free_space(self, pot):
         directional_derivative_check(free3(), pot, n=8, seed=202)
+
+
+ENGINE_CASES = [
+    (domain, pot)
+    for domain in (sphere(), torus(1.414), free3())
+    for pot in (log_coulomb(), riesz(-1.0), riesz(1.0), coulomb(4), riesz(1.5), lennard_jones())
+    if pot.kind != "lj" or domain.kind == "free3"
+]
+
+
+@pytest.mark.parametrize(
+    "domain,pot", ENGINE_CASES,
+    ids=[f"{d.kind}-{p.kind}{p.exponent or ''}" for d, p in ENGINE_CASES],
+)
+class TestEngineMatchesScalarKernel:
+    """Energy and gradient agree with a pair-by-pair loop over the scalar kernel."""
+
+    def test_energy_is_fsum_of_pair_energies(self, domain, pot):
+        config = random_configuration(domain, 9, 31)
+        x = embed_points(config.points, domain)
+        pairs = [
+            pair_energy(pot, float(np.linalg.norm(x[i] - x[j])))
+            for i in range(9) for j in range(i + 1, 9)
+        ]
+        assert total_energy(config, pot) == pytest.approx(math.fsum(pairs), rel=1e-12)
+
+    def test_gradient_rows_match_pair_sum(self, domain, pot):
+        config = random_configuration(domain, 9, 32)
+        x = embed_points(config.points, domain)
+        ambient = np.zeros_like(x)
+        for i in range(9):
+            for j in range(9):
+                if i != j:
+                    r = float(np.linalg.norm(x[i] - x[j]))
+                    ambient[i] += radial_derivative(pot, r) / r * (x[i] - x[j])
+        expected = tangent_project_points(config.points, ambient, domain)
+        grad = energy_gradient(config, pot)
+        for got, want in zip(grad, expected):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
+def test_duplicated_point_in_general_position_rejected(domain):
+    points = random_configuration(domain, 6, 41).points
+    points[4] = points[1]
+    assert np.all(np.abs(embed_points(points, domain)[1]) > 1e-3)
+    with pytest.raises(CoincidentPointsError):
+        energy_gradient_of_points(points, domain, riesz(-1.0))
