@@ -9,10 +9,12 @@ is the power law at s = 2 - D; :func:`coulomb` builds it as such.
 Total energies are sums over all unordered pairs of the kernel evaluated at
 the chordal distance.  Summation uses exact compensated accumulation
 (``math.fsum``) so that 12-significant-digit reference energies reproduce and
-permuting the point list cannot change the result.  Every kernel formula is
-written once, in ``_kernel``, which the energy, the gradient and the scalar
-views all call.  Evaluation is O(N^2) per call, which is fine at the desk
-scales this package targets.
+permuting the point list cannot change the result.  The line search compares
+energies from :func:`search_energy_of_points`, an uncompensated ``np.sum``
+that agrees to roundoff.  Each kernel's value is written once, in
+``_energy_kernel``, and its derivative once, in ``_gradient_kernel``; the
+energies, the gradient and the scalar views all call these.  Evaluation is
+O(N^2) per call, which is fine at the desk scales this package targets.
 """
 
 from __future__ import annotations
@@ -87,19 +89,37 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
-def _kernel(pot: PotentialSpec, r2):
-    """U(r) and U'(r)/r at squared separations r2 > 0 (a float or an array).
+def _vanishes_at_zero(pot: PotentialSpec) -> bool:
+    """True for the power law with 0 < s < 2, which tends to 0 at r = 0; the rest diverge."""
+    return pot.kind == RIESZ and pot.exponent > 0.0
 
-    The one place where each kernel's formula is written.
+
+def _energy_kernel(pot: PotentialSpec, r2):
+    """U(r) at squared separations r2 > 0 (a float or an array).
+
+    The one place where each kernel's value is written.
     """
     if pot.kind == LOG:
-        return -0.5 * np.log(r2), -1.0 / r2
+        return -0.5 * np.log(r2)
     if pot.kind == LENNARD_JONES:
         inv6 = r2 ** -3.0
-        return inv6 * inv6 - inv6, (6.0 * inv6 - 12.0 * inv6 * inv6) / r2
+        return inv6 * inv6 - inv6
     s = pot.exponent
-    u = r2 ** (0.5 * s)
-    return -math.copysign(1.0, s) * u, -abs(s) * u / r2
+    return -math.copysign(1.0, s) * r2 ** (0.5 * s)
+
+
+def _gradient_kernel(pot: PotentialSpec, r2):
+    """U'(r)/r at squared separations r2 > 0 (a float or an array).
+
+    The one place where each kernel's derivative is written.
+    """
+    if pot.kind == LOG:
+        return -1.0 / r2
+    if pot.kind == LENNARD_JONES:
+        inv6 = r2 ** -3.0
+        return (6.0 * inv6 - 12.0 * inv6 * inv6) / r2
+    s = pot.exponent
+    return -abs(s) * r2 ** (0.5 * s - 1.0)
 
 
 def pair_energy(pot: PotentialSpec, r: float) -> float:
@@ -111,15 +131,15 @@ def pair_energy(pot: PotentialSpec, r: float) -> float:
     if r < 0.0:
         raise ValueError("separation must be nonnegative")
     if r == 0.0:
-        return 0.0 if pot.kind == RIESZ and pot.exponent > 0.0 else math.inf
-    return float(_kernel(pot, r * r)[0])
+        return 0.0 if _vanishes_at_zero(pot) else math.inf
+    return float(_energy_kernel(pot, r * r))
 
 
 def radial_derivative(pot: PotentialSpec, r: float) -> float:
     """d/dr of the kernel at separation r > 0."""
     if r <= 0.0:
         raise ValueError("separation must be positive")
-    return float(_kernel(pot, r * r)[1]) * r
+    return float(_gradient_kernel(pot, r * r)) * r
 
 
 def _squared_separations(x: np.ndarray) -> np.ndarray:
@@ -149,10 +169,33 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     r2 = _squared_separations(embed_points(points, domain))[~np.tri(n, dtype=bool)]
     zero = r2 == 0.0
     if zero.any():
-        if not (pot.kind == RIESZ and pot.exponent > 0.0):
+        if not _vanishes_at_zero(pot):
             return math.inf
         r2 = r2[~zero]
-    return math.fsum(_kernel(pot, r2)[0])
+    return math.fsum(_energy_kernel(pot, r2).tolist())
+
+
+def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
+    """Fast total pair energy for line-search comparisons; may be +inf.
+
+    Equals :func:`total_energy_of_points` up to roundoff and follows its
+    ``r2 == 0`` rules, but halves a plain ``np.sum`` over the whole symmetric
+    matrix instead of compensating a sum over each pair once.  The sum is a
+    deterministic function of the points.  No reported energy comes from it.
+    """
+    validate_domain_potential(domain, pot)
+    if points.shape[0] < 2:
+        raise ValueError("energy needs at least two points")
+    r2 = _squared_separations(embed_points(points, domain))
+    # A vanishing kernel gives exactly 0 at r2 == 0, on the diagonal and for
+    # coincident pairs alike.
+    if not _vanishes_at_zero(pot):
+        np.fill_diagonal(r2, 1.0)
+        if not r2.all():
+            return math.inf
+    u = _energy_kernel(pot, r2)
+    np.fill_diagonal(u, 0.0)
+    return 0.5 * float(np.sum(u))
 
 
 def total_energy(config: Configuration, pot: PotentialSpec) -> float:
@@ -176,7 +219,7 @@ def energy_gradient_of_points(
     np.fill_diagonal(r2, 1.0)
     if not r2.all():
         raise CoincidentPointsError("coincident points: gradient undefined")
-    w = _kernel(pot, r2)[1]
+    w = _gradient_kernel(pot, r2)
     np.fill_diagonal(w, 0.0)
     grad = x * w.sum(axis=1)[:, None] - w @ x
     return tangent_project_points(points, grad, domain)

@@ -94,6 +94,13 @@ class TestLocalMinimize:
         assert np.max(np.abs(np.einsum("ij,ij->i", grad, normals))) < 1e-12
         assert np.max(np.linalg.norm(grad, axis=1)) < settings.gradient_tolerance
 
+    @pytest.mark.parametrize("n", [53, 54, 56, 58, 59])
+    def test_converges_within_the_iteration_cap(self, n):
+        # With a fixed x1.2 step growth these starts all hit the 50N cap.
+        start = random_configuration(sphere(), n, derived_seed(0, 0))
+        settings = OptimizerSettings(gradient_tolerance=1e-6)
+        assert local_minimize(start, log_coulomb(), settings).converged
+
     def test_coincident_start_rejected(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         with pytest.raises(CoincidentPointsError):
@@ -188,6 +195,12 @@ class TestBuildTable:
         settings = OptimizerSettings(restarts=2, seed=1, gradient_tolerance=1e-8)
         with caplog.at_level("WARNING", logger="gsaudit.optimizer"):
             build_table(sphere(), INVERSE_R, [2, 3], settings)
+        assert not caplog.records
+
+    def test_default_tolerance_rows_do_not_warn(self, caplog):
+        settings = OptimizerSettings(restarts=2, seed=1)
+        with caplog.at_level("WARNING", logger="gsaudit.optimizer"):
+            build_table(sphere(), INVERSE_R, list(range(2, 13)), settings)
         assert not caplog.records
 
     def test_single_row_table(self):

@@ -24,6 +24,7 @@ from gsaudit.potentials import (
     pair_energy,
     radial_derivative,
     riesz,
+    search_energy_of_points,
     total_energy,
     total_energy_of_points,
     validate_domain_potential,
@@ -232,7 +233,8 @@ ENGINE_CASES = [
     ids=[f"{d.kind}-{p.kind}{p.exponent or ''}" for d, p in ENGINE_CASES],
 )
 class TestEngineMatchesScalarKernel:
-    """Energy and gradient agree with a pair-by-pair loop over the scalar kernel."""
+    """Energy and gradient agree with a pair-by-pair loop over the scalar kernel,
+    and the line-search energy agrees with the exact one."""
 
     def test_energy_is_fsum_of_pair_energies(self, domain, pot):
         config = random_configuration(domain, 9, 31)
@@ -242,6 +244,18 @@ class TestEngineMatchesScalarKernel:
             for i in range(9) for j in range(i + 1, 9)
         ]
         assert total_energy(config, pot) == pytest.approx(math.fsum(pairs), rel=1e-12)
+
+    def test_search_energy_matches_total_energy(self, domain, pot):
+        points = random_configuration(domain, 9, 33).points
+        exact = total_energy_of_points(points, domain, pot)
+        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
+
+    def test_search_energy_with_coincident_points(self, domain, pot):
+        points = random_configuration(domain, 7, 34).points
+        points[5] = points[2]
+        exact = total_energy_of_points(points, domain, pot)
+        assert math.isfinite(exact) == (pot.kind == "riesz" and pot.exponent > 0.0)
+        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
 
     def test_gradient_rows_match_pair_sum(self, domain, pot):
         config = random_configuration(domain, 9, 32)
