@@ -14,11 +14,14 @@ energies from :func:`search_energy_of_points`, an uncompensated ``np.sum``
 that agrees to roundoff.  Each kernel's value is written once, in
 ``_energy_kernel``, and its derivative once, in ``_gradient_kernel``; the
 energies, the gradient and the scalar views all call these.  Evaluation is
-O(N^2) per call, which is fine at the desk scales this package targets.
+O(N^2) per call, which is fine at the desk scales this package targets; it
+runs over blocks of rows of the pair matrix, so its memory is O(N) and no
+(N, N) array is ever formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -142,60 +145,104 @@ def radial_derivative(pot: PotentialSpec, r: float) -> float:
     return float(_gradient_kernel(pot, r * r)) * r
 
 
-def _squared_separations(x: np.ndarray) -> np.ndarray:
-    """(N, N) squared distances between the rows of x, from direct differences.
+# Size of one block of the pair matrix, in elements: a (rows, N) float64 slab
+# of 1 MB stays in cache and is reused from the heap.  Whole (N, N) arrays
+# were mapped afresh and page-faulted on every call (33 MB each at N = 2048),
+# so their cost swung with the memory traffic of everything else on the
+# machine.
+_BLOCK_ELEMENTS = 1 << 17
 
-    Built one coordinate at a time, so no (N, N, 3) array is formed.  The
-    result is exactly symmetric with an exactly zero diagonal, and a pair of
-    identical rows gives an exact zero.
+
+def _separation_blocks(x: np.ndarray, upper: bool):
+    """Squared distances between the rows of x, one block of rows at a time.
+
+    Yields ``(a, r2)`` for consecutive row blocks a <= i < a + len(r2).  With
+    ``upper`` False, ``r2[k, j]`` is the squared distance from row a + k to row
+    j; with ``upper`` True, to row a + j, so the block holds only columns from
+    a on and the pairs i < j sit right of the diagonal of its leading square.
+    Each distance is built from direct differences one coordinate at a time,
+    so the result is exactly symmetric with an exactly zero diagonal, and a
+    pair of identical rows gives an exact zero.  ``r2`` is a reused buffer,
+    valid until the next block is drawn.
     """
     n = x.shape[0]
-    r2 = np.zeros((n, n))
-    d = np.empty((n, n))
-    for col in x.T:
-        np.subtract(col[:, None], col, out=d)
-        d *= d
-        r2 += d
-    return r2
+    rows = max(1, min(n, _BLOCK_ELEMENTS // n))
+    r2_buf, d_buf = np.empty(rows * n), np.empty(rows * n)
+    columns = np.ascontiguousarray(x.T)
+    for a in range(0, n, rows):
+        m = min(rows, n - a)
+        width = n - a if upper else n
+        r2 = r2_buf[: m * width].reshape(m, width)
+        d = d_buf[: m * width].reshape(m, width)
+        for c, col in enumerate(columns):
+            np.subtract(col[a : a + m, None], col[n - width :], out=d)
+            d *= d
+            if c:
+                r2 += d
+            else:
+                r2[...] = d
+        yield a, r2
+
+
+def _upper_pair_energies(x: np.ndarray, pot: PotentialSpec):
+    """U over the pairs i < j, one list per row block.
+
+    A coincident pair is dropped for a kernel that vanishes at r = 0 and
+    raises CoincidentPointsError for the others.
+    """
+    for _, r2 in _separation_blocks(x, upper=True):
+        # ~tri keeps the entries right of the leading square's diagonal: each
+        # unordered pair once.
+        r2 = r2[~np.tri(*r2.shape, dtype=bool)]
+        zero = r2 == 0.0
+        if zero.any():
+            if not _vanishes_at_zero(pot):
+                raise CoincidentPointsError("coincident points")
+            r2 = r2[~zero]
+        yield _energy_kernel(pot, r2).tolist()
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
     """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf."""
     validate_domain_potential(domain, pot)
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         raise ValueError("energy needs at least two points")
-    # ~tri is the strict upper triangle: each unordered pair once.
-    r2 = _squared_separations(embed_points(points, domain))[~np.tri(n, dtype=bool)]
-    zero = r2 == 0.0
-    if zero.any():
-        if not _vanishes_at_zero(pot):
-            return math.inf
-        r2 = r2[~zero]
-    return math.fsum(_energy_kernel(pot, r2).tolist())
+    # One fsum over every block's list: exactly rounded, whatever the blocks.
+    try:
+        return math.fsum(
+            itertools.chain.from_iterable(_upper_pair_energies(embed_points(points, domain), pot))
+        )
+    except CoincidentPointsError:
+        return math.inf
 
 
 def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
     """Fast total pair energy for line-search comparisons; may be +inf.
 
     Equals :func:`total_energy_of_points` up to roundoff and follows its
-    ``r2 == 0`` rules, but halves a plain ``np.sum`` over the whole symmetric
-    matrix instead of compensating a sum over each pair once.  The sum is a
-    deterministic function of the points.  No reported energy comes from it.
+    ``r2 == 0`` rules, but adds plain ``np.sum`` totals of row blocks instead
+    of compensating a sum over each pair.  The sum is a deterministic
+    function of the points.  No reported energy comes from it.
     """
     validate_domain_potential(domain, pot)
     if points.shape[0] < 2:
         raise ValueError("energy needs at least two points")
-    r2 = _squared_separations(embed_points(points, domain))
-    # A vanishing kernel gives exactly 0 at r2 == 0, on the diagonal and for
-    # coincident pairs alike.
-    if not _vanishes_at_zero(pot):
-        np.fill_diagonal(r2, 1.0)
-        if not r2.all():
-            return math.inf
-    u = _energy_kernel(pot, r2)
-    np.fill_diagonal(u, 0.0)
-    return 0.5 * float(np.sum(u))
+    vanishes = _vanishes_at_zero(pot)
+    total = 0.0
+    for _, r2 in _separation_blocks(embed_points(points, domain), upper=True):
+        # The block's leading square holds each of its pairs twice and its
+        # points' zero self-distances on the diagonal.  A vanishing kernel
+        # gives exactly 0 at r2 == 0, on the diagonal and for coincident pairs
+        # alike.
+        m = r2.shape[0]
+        if not vanishes:
+            np.fill_diagonal(r2[:, :m], 1.0)
+            if not r2.all():
+                return math.inf
+        u = _energy_kernel(pot, r2)
+        np.fill_diagonal(u[:, :m], 0.0)
+        total += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
+    return total
 
 
 def total_energy(config: Configuration, pot: PotentialSpec) -> float:
@@ -215,13 +262,15 @@ def energy_gradient_of_points(
     if points.shape[0] < 2:
         raise ValueError("gradient needs at least two points")
     x = embed_points(points, domain)
-    r2 = _squared_separations(x)
-    np.fill_diagonal(r2, 1.0)
-    if not r2.all():
-        raise CoincidentPointsError("coincident points: gradient undefined")
-    w = _gradient_kernel(pot, r2)
-    np.fill_diagonal(w, 0.0)
-    grad = x * w.sum(axis=1)[:, None] - w @ x
+    grad = np.empty_like(x)
+    for a, r2 in _separation_blocks(x, upper=False):
+        rows = slice(a, a + r2.shape[0])
+        np.fill_diagonal(r2[:, rows], 1.0)
+        if not r2.all():
+            raise CoincidentPointsError("coincident points: gradient undefined")
+        w = _gradient_kernel(pot, r2)
+        np.fill_diagonal(w[:, rows], 0.0)
+        grad[rows] = x[rows] * w.sum(axis=1)[:, None] - w @ x
     return tangent_project_points(points, grad, domain)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsaudit import potentials
 from gsaudit.geometry import (
     Configuration,
     embed_points,
@@ -270,6 +271,31 @@ class TestEngineMatchesScalarKernel:
         grad = energy_gradient(config, pot)
         for got, want in zip(grad, expected):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_row_blocks_match_one_block(self, domain, pot, monkeypatch):
+        points = random_configuration(domain, 9, 35).points
+        whole = [
+            total_energy_of_points(points, domain, pot),
+            search_energy_of_points(points, domain, pot),
+            energy_gradient_of_points(points, domain, pot),
+        ]
+        # Two rows per block: four blocks of two and a last block of one.
+        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
+        assert total_energy_of_points(points, domain, pot) == whole[0]
+        assert search_energy_of_points(points, domain, pot) == pytest.approx(whole[1], rel=1e-12)
+        grad = energy_gradient_of_points(points, domain, pot)
+        for got, want in zip(grad, whole[2]):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_row_blocks_with_coincident_points(self, domain, pot, monkeypatch):
+        points = random_configuration(domain, 9, 36).points
+        points[7] = points[1]
+        exact = total_energy_of_points(points, domain, pot)
+        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
+        assert total_energy_of_points(points, domain, pot) == exact
+        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
+        with pytest.raises(CoincidentPointsError):
+            energy_gradient_of_points(points, domain, pot)
 
 
 @pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
