@@ -179,8 +179,8 @@ def monotonicity_audit(table: EnergyTable, tolerance: float | None = None) -> Au
     """
     if not table.entries:
         raise ValueError("cannot audit an empty table")
-    if tolerance is not None and tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
     counts = table.counts()
     eps = {n: table.pair_specific(n) for n in counts}
     violations: list[Violation] = []

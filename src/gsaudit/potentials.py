@@ -7,21 +7,26 @@ r^-12 - r^-6 (free 3-space only).  The D-dimensional Coulomb kernel r^(2-D)
 is the power law at s = 2 - D; :func:`coulomb` builds it as such.
 
 Total energies are sums over all unordered pairs of the kernel evaluated at
-the chordal distance.  Summation uses exact compensated accumulation
-(``math.fsum``) so that 12-significant-digit reference energies reproduce and
-permuting the point list cannot change the result.  The line search compares
-energies from :func:`search_energy_of_points`, an uncompensated ``np.sum``
-that agrees to roundoff.  Each kernel's value is written once, in
-``_energy_kernel``, and its derivative once, in ``_gradient_kernel``; the
-energies, the gradient and the scalar views all call these.  Evaluation is
-O(N^2) per call, which is fine at the desk scales this package targets; it
-runs over blocks of rows of the pair matrix, so its memory is O(N) and no
-(N, N) array is ever formed.
+the chordal distance.  The reported energy is exactly rounded: it equals
+``math.fsum`` over every pair energy bit for bit, so 12-significant-digit
+reference energies reproduce and permuting the point list cannot change the
+result.  It is summed without one Python float per pair: error-free
+extraction (Rump, Ogita & Oishi 2008) splits each block's energies into a
+few floats with the same exact sum, and one ``math.fsum`` over those rounds
+the total.  The line search compares energies from
+:func:`search_energy_of_points`, an uncompensated ``np.sum`` that agrees to
+roundoff.  Each kernel's value is written once, in ``_energy_kernel``, and
+its derivative once, in ``_gradient_kernel``; the energies, the gradient and
+the scalar views all call these.  Evaluation is O(N^2) per call, which is
+fine at the desk scales this package targets.  It runs over blocks of rows
+of the pair matrix, each from its own diagonal on, so its memory is O(N) and
+no (N, N) array is ever formed.  Only the pairs among a block's own rows are
+visited in both directions; the gradient applies the weight U'(r)/r of every
+other pair, visited once, to both of its ends.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +39,8 @@ RIESZ = "riesz"
 LENNARD_JONES = "lj"
 
 _KINDS = (LOG, RIESZ, LENNARD_JONES)
+
+_LARGEST = np.finfo(float).max
 
 
 class CoincidentPointsError(ValueError):
@@ -105,8 +112,11 @@ def _energy_kernel(pot: PotentialSpec, r2):
     if pot.kind == LOG:
         return -0.5 * np.log(r2)
     if pot.kind == LENNARD_JONES:
-        inv6 = r2 ** -3.0
-        return inv6 * inv6 - inv6
+        # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
+        # at the largest float, its square still gives U = +inf.
+        with np.errstate(over="ignore"):
+            inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
+            return inv6 * inv6 - inv6
     s = pot.exponent
     return -math.copysign(1.0, s) * r2 ** (0.5 * s)
 
@@ -153,66 +163,93 @@ def radial_derivative(pot: PotentialSpec, r: float) -> float:
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _separation_blocks(x: np.ndarray, upper: bool):
-    """Squared distances between the rows of x, one block of rows at a time.
+def _separation_blocks(x: np.ndarray):
+    """Squared distances from the rows of x to themselves and later rows.
 
-    Yields ``(a, r2)`` for consecutive row blocks a <= i < a + len(r2).  With
-    ``upper`` False, ``r2[k, j]`` is the squared distance from row a + k to row
-    j; with ``upper`` True, to row a + j, so the block holds only columns from
-    a on and the pairs i < j sit right of the diagonal of its leading square.
-    Each distance is built from direct differences one coordinate at a time,
-    so the result is exactly symmetric with an exactly zero diagonal, and a
-    pair of identical rows gives an exact zero.  ``r2`` is a reused buffer,
-    valid until the next block is drawn.
+    Yields ``(a, r2)`` for consecutive row blocks a <= i < a + len(r2), where
+    ``r2[k, j]`` is the squared distance from row a + k to row a + j.  The
+    block's leading square holds its own rows' pairs in both directions; the
+    columns right of it hold each pair with a later row once.  Each distance
+    is built from direct differences one coordinate at a time, so the square
+    is exactly symmetric with an exactly zero diagonal, and a pair of
+    identical rows gives an exact zero.  ``r2`` is a reused buffer, valid
+    until the next block is drawn.
     """
     n = x.shape[0]
     rows = max(1, min(n, _BLOCK_ELEMENTS // n))
     r2_buf, d_buf = np.empty(rows * n), np.empty(rows * n)
-    columns = np.ascontiguousarray(x.T)
+    first, *rest = np.ascontiguousarray(x.T)
     for a in range(0, n, rows):
         m = min(rows, n - a)
-        width = n - a if upper else n
-        r2 = r2_buf[: m * width].reshape(m, width)
-        d = d_buf[: m * width].reshape(m, width)
-        for c, col in enumerate(columns):
-            np.subtract(col[a : a + m, None], col[n - width :], out=d)
+        r2 = r2_buf[: m * (n - a)].reshape(m, n - a)
+        d = d_buf[: r2.size].reshape(r2.shape)
+        np.subtract(first[a : a + m, None], first[a:], out=r2)
+        r2 *= r2
+        for col in rest:
+            np.subtract(col[a : a + m, None], col[a:], out=d)
             d *= d
-            if c:
-                r2 += d
-            else:
-                r2[...] = d
+            r2 += d
         yield a, r2
 
 
-def _upper_pair_energies(x: np.ndarray, pot: PotentialSpec):
-    """U over the pairs i < j, one list per row block.
+def _exact_sum_terms(u: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the entries of u.
 
-    A coincident pair is dropped for a kernel that vanishes at r = 0 and
-    raises CoincidentPointsError for the others.
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
+    with sigma a power of two at least 2 * size * max|u|, h = (u + sigma) -
+    sigma rounds each entry to a grid of sigma * 2^-53, so every partial sum
+    of h is exact and ``np.sum(h)`` is exact in any order; u - h is exact
+    too.  Each round peels off the leading 53 - log2(2 * size) bits of every
+    entry, and rounds repeat until nothing is left.  Entries that are not
+    finite, or whose sigma would overflow, are returned as they are.  u is
+    overwritten.
     """
-    for _, r2 in _separation_blocks(x, upper=True):
-        # ~tri keeps the entries right of the leading square's diagonal: each
-        # unordered pair once.
-        r2 = r2[~np.tri(*r2.shape, dtype=bool)]
-        zero = r2 == 0.0
-        if zero.any():
-            if not _vanishes_at_zero(pot):
-                raise CoincidentPointsError("coincident points")
-            r2 = r2[~zero]
-        yield _energy_kernel(pot, r2).tolist()
+    scale = math.ceil(math.log2(u.size)) + 1
+    terms = []
+    while True:
+        mu = max(float(np.max(u)), -float(np.min(u)))
+        if mu == 0.0:
+            return terms
+        exponent = scale + math.frexp(mu)[1]
+        if not (math.isfinite(mu) and exponent < 1024):
+            return terms + u.ravel().tolist()
+        sigma = math.ldexp(1.0, exponent)
+        h = u + sigma
+        h -= sigma
+        terms.append(float(np.sum(h)))
+        u -= h
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
-    """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf."""
+    """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf.
+
+    Correctly rounded: the result equals ``math.fsum`` over the energies of
+    all pairs i < j.  A coincident pair gives +inf, except for a kernel that
+    vanishes at r = 0, where the pair adds 0.
+    """
     validate_domain_potential(domain, pot)
     if points.shape[0] < 2:
         raise ValueError("energy needs at least two points")
-    # One fsum over every block's list: exactly rounded, whatever the blocks.
+    vanishes = _vanishes_at_zero(pot)
+    terms = []
+    for _, r2 in _separation_blocks(embed_points(points, domain)):
+        # Of the block's leading square only the pairs right of the diagonal
+        # count: the rest is set to r2 = 1 and its energies to 0.  A
+        # vanishing kernel gives 0 for a coincident pair by itself.
+        m = r2.shape[0]
+        lower = np.tri(m, dtype=bool)
+        r2[:, :m][lower] = 1.0
+        if not vanishes and not r2.all():
+            return math.inf
+        u = _energy_kernel(pot, r2)
+        u[:, :m][lower] = 0.0
+        terms += _exact_sum_terms(u)
     try:
-        return math.fsum(
-            itertools.chain.from_iterable(_upper_pair_energies(embed_points(points, domain), pot))
-        )
-    except CoincidentPointsError:
+        return math.fsum(terms)
+    except OverflowError:
+        # fsum raises when finite terms sum past the largest float: a
+        # Lennard-Jones or power-law cluster at tiny separations, whose total
+        # is +inf.
         return math.inf
 
 
@@ -221,15 +258,15 @@ def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potenti
 
     Equals :func:`total_energy_of_points` up to roundoff and follows its
     ``r2 == 0`` rules, but adds plain ``np.sum`` totals of row blocks instead
-    of compensating a sum over each pair.  The sum is a deterministic
-    function of the points.  No reported energy comes from it.
+    of rounding the exact sum.  The sum is a deterministic function of the
+    points.  No reported energy comes from it.
     """
     validate_domain_potential(domain, pot)
     if points.shape[0] < 2:
         raise ValueError("energy needs at least two points")
     vanishes = _vanishes_at_zero(pot)
     total = 0.0
-    for _, r2 in _separation_blocks(embed_points(points, domain), upper=True):
+    for _, r2 in _separation_blocks(embed_points(points, domain)):
         # The block's leading square holds each of its pairs twice and its
         # points' zero self-distances on the diagonal.  A vanishing kernel
         # gives exactly 0 at r2 == 0, on the diagonal and for coincident pairs
@@ -241,15 +278,18 @@ def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potenti
                 return math.inf
         u = _energy_kernel(pot, r2)
         np.fill_diagonal(u[:, :m], 0.0)
-        total += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
+        # Finite pair energies at tiny separations (Lennard-Jones, or a power
+        # law with s < 0) can sum past the largest float: the total is +inf.
+        with np.errstate(over="ignore"):
+            total += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
     return total
 
 
 def total_energy(config: Configuration, pot: PotentialSpec) -> float:
     """Sum of the kernel over all unordered pairs at their chordal distances.
 
-    Invariant under permutations of the point list (the compensated sum is
-    exact) and, on the sphere, under global rotations up to roundoff.
+    Invariant under permutations of the point list (the sum is exactly
+    rounded) and, on the sphere, under global rotations up to roundoff.
     """
     return total_energy_of_points(config.points, config.domain, pot)
 
@@ -262,15 +302,21 @@ def energy_gradient_of_points(
     if points.shape[0] < 2:
         raise ValueError("gradient needs at least two points")
     x = embed_points(points, domain)
-    grad = np.empty_like(x)
-    for a, r2 in _separation_blocks(x, upper=False):
-        rows = slice(a, a + r2.shape[0])
-        np.fill_diagonal(r2[:, rows], 1.0)
+    grad = np.zeros_like(x)
+    for a, r2 in _separation_blocks(x):
+        # Each row i of the block takes its pairs with every j >= a; the
+        # columns right of the leading square also give each later row j its
+        # pair with i, which no later block visits.
+        b = a + r2.shape[0]
+        np.fill_diagonal(r2, 1.0)
         if not r2.all():
             raise CoincidentPointsError("coincident points: gradient undefined")
         w = _gradient_kernel(pot, r2)
-        np.fill_diagonal(w[:, rows], 0.0)
-        grad[rows] = x[rows] * w.sum(axis=1)[:, None] - w @ x
+        np.fill_diagonal(w, 0.0)
+        grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
+        if b < len(x):
+            right = w[:, b - a :]
+            grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
     return tangent_project_points(points, grad, domain)
 
 

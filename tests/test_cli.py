@@ -220,6 +220,19 @@ class TestAuditCommand:
         assert "no violations" not in captured.out
         assert "improved bound" not in captured.out
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_two(self, token, tmp_path, capsys):
+        # Pair-specific energies -ln(2)/2 then -100/6: a plain violation.
+        p = tmp_path / "violating.tsv"
+        p.write_text(f"2\t{-math.log(2.0)!r}\n3\t-100\n", encoding="utf-8")
+        assert main(["audit", "--input", str(p)]) == 1
+        assert "N=2 fails n=1" in capsys.readouterr().out
+        rc = main(["audit", "--input", str(p), "--tolerance", token])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "tolerance" in captured.err
+        assert "no violations" not in captured.out
+
     def test_explicit_tolerance_flag(self, capsys):
         rc = main([
             "audit", "--input", str(fixture_path("log_sphere_pair_n97.tsv")),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsaudit import potentials
 from gsaudit.geometry import (
@@ -90,6 +92,9 @@ class TestPairEnergy:
         with pytest.raises(ValueError):
             pair_energy(log_coulomb(), -1.0)
 
+    def test_lj_overflow_is_infinite(self):
+        assert pair_energy(lennard_jones(), 1e-60) == math.inf
+
     def test_coulomb_matches_power_law_exactly(self):
         rng = np.random.default_rng(17)
         for dim in (3, 4, 5, 7):
@@ -132,6 +137,14 @@ class TestTotalEnergy:
     def test_lj_on_sphere_rejected(self):
         with pytest.raises(ValueError):
             total_energy(ANTIPODAL, lennard_jones())
+
+    # At 10^-25.66 each pair energy is finite but their sum is not; at 1e-60
+    # r^-6 itself overflows.
+    @pytest.mark.parametrize("size", [10.0 ** -25.66, 1e-60], ids=["sum", "r6"])
+    def test_lj_cluster_overflow_is_infinite(self, size):
+        points = np.vstack([np.zeros(3), size * np.eye(3)])
+        assert total_energy_of_points(points, free3(), lennard_jones()) == math.inf
+        assert search_energy_of_points(points, free3(), lennard_jones()) == math.inf
 
     def test_coincident_points_give_infinity(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -246,6 +259,19 @@ class TestEngineMatchesScalarKernel:
         ]
         assert total_energy(config, pot) == pytest.approx(math.fsum(pairs), rel=1e-12)
 
+    def test_energy_is_exactly_rounded_over_row_blocks(self, domain, pot, monkeypatch):
+        points = random_configuration(domain, 9, 37).points
+        x = embed_points(points, domain)
+        r2 = []
+        for i in range(9):
+            for j in range(i + 1, 9):
+                d = x[i] - x[j]
+                r2.append(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        want = math.fsum(potentials._energy_kernel(pot, np.array(r2)).tolist())
+        assert total_energy_of_points(points, domain, pot) == want
+        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
+        assert total_energy_of_points(points, domain, pot) == want
+
     def test_search_energy_matches_total_energy(self, domain, pot):
         points = random_configuration(domain, 9, 33).points
         exact = total_energy_of_points(points, domain, pot)
@@ -305,3 +331,44 @@ def test_duplicated_point_in_general_position_rejected(domain):
     assert np.all(np.abs(embed_points(points, domain)[1]) > 1e-3)
     with pytest.raises(CoincidentPointsError):
         energy_gradient_of_points(points, domain, riesz(-1.0))
+
+
+def assert_exact_sum_is_fsum(values):
+    u = np.array(values, dtype=float)
+    try:
+        want = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            math.fsum(potentials._exact_sum_terms(u))
+        return
+    assert math.fsum(potentials._exact_sum_terms(u)).hex() == want.hex()
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(st.lists(finite, min_size=1, max_size=300))
+def test_exact_sum_terms_match_fsum(values):
+    assert_exact_sum_is_fsum(values)
+
+
+@settings(deadline=None)
+@given(st.lists(finite, min_size=1, max_size=100), st.randoms(use_true_random=False))
+def test_exact_sum_terms_match_fsum_when_cancelling(values, random):
+    values = values + [-v for v in values]
+    random.shuffle(values)
+    assert math.fsum(values) == 0.0
+    assert_exact_sum_is_fsum(values)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(min_value=2.0 ** 1023, max_value=1.7e308), min_size=1, max_size=5),
+    st.lists(finite, max_size=50),
+    st.randoms(use_true_random=False),
+)
+def test_exact_sum_terms_near_overflow(huge, values, random):
+    values = values + [random.choice([1.0, -1.0]) * v for v in huge]
+    random.shuffle(values)
+    assert_exact_sum_is_fsum(values)
