@@ -11,8 +11,8 @@ clamped to between 1e-3 and 1e3 times the accepted step.  When s.y <= 0 or
 the BB step is not finite, the accepted step grows by 1.2 instead.
 
 Line-search comparisons use the fast uncompensated energy
-(:func:`search_energy_of_points`).  The reported energy is the exact
-compensated sum, evaluated once on the returned configuration.
+(:func:`search_energy_of_points`).  The reported energy is the exactly
+rounded sum, evaluated once on the returned configuration.
 
 Restart r of a multistart run draws its starting configuration from a seed
 derived as SeedSequence(seed, spawn_key=r), so results are independent of
