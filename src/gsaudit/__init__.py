@@ -14,12 +14,9 @@ from .geometry import (
     DomainSpec,
     StepTooLargeError,
     chordal_distance,
-    embed,
     free3,
     random_configuration,
-    retract,
     sphere,
-    tangent_project,
     torus,
 )
 from .potentials import (
@@ -33,17 +30,14 @@ from .potentials import (
     riesz,
     total_energy,
 )
+from .table import EnergyTable, TableMetadata, pair_specific, parse_table, table_digest, write_table
 from .audit import (
     AuditReport,
-    EnergyTable,
     ImprovedBound,
-    TableMetadata,
     Violation,
     brute_force_monotonicity_check,
     improved_upper_bound,
     monotonicity_audit,
-    pair_specific,
-    table_digest,
 )
 from .optimizer import OptimizerSettings, RunResult, build_table, local_minimize, multistart
 from .asymptotics import (
@@ -56,7 +50,6 @@ from .asymptotics import (
     thomson_sphere_model,
     zeta_alternating,
 )
-from .cli import parse_table, write_table
 
 __all__ = [
     "AsymptoticModel",
@@ -77,7 +70,6 @@ __all__ = [
     "chordal_distance",
     "compute_b_coefficient",
     "coulomb",
-    "embed",
     "energy_gradient",
     "free3",
     "improved_upper_bound",
@@ -94,11 +86,9 @@ __all__ = [
     "parse_table",
     "random_configuration",
     "residuals",
-    "retract",
     "riesz",
     "sphere",
     "table_digest",
-    "tangent_project",
     "thomson_sphere_model",
     "torus",
     "total_energy",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import EnergyTable, pair_specific
+from .table import EnergyTable, pair_specific
 from .geometry import SPHERE
 from .potentials import LOG, RIESZ, PotentialSpec
 

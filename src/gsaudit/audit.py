@@ -8,102 +8,28 @@ true ground-state energy.  Whenever that happens, scaling the later entry
 back, (N(N-1) / ((N+n)(N+n-1))) * E(N+n), is a valid upper bound on the true
 energy at N that beats the recorded value.
 
-This module implements the pair-specific scaling, the audit over all index
-pairs, the improved upper bounds with their witnesses, and a brute-force
-small-N verification of the monotonicity law using the multistart optimizer
-as an oracle.
+This module implements the audit over all index pairs, the improved upper
+bounds with their witnesses, and a brute-force small-N verification of the
+monotonicity law using the multistart optimizer as an oracle.  The table
+itself, its file format and its digest live in :mod:`gsaudit.table`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import DomainSpec
+from .optimizer import multistart
 from .potentials import PotentialSpec
-
-logger = logging.getLogger(__name__)
+from .table import EnergyTable, pair_specific, table_digest
+from .table import TableMetadata  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 # Default violation guard: a pair (N, N+n) only counts as a violation when
 # eps(N+n) - eps(N) < -tau with tau = RELATIVE_TOLERANCE_BASE * max(1, |eps(N)|).
 # Published 12-digit tables compare exactly; the relative guard protects
 # user-supplied noisy tables from spurious flags.
 RELATIVE_TOLERANCE_BASE = 1e-9
-
-
-def pair_specific(n: int, energy: float) -> float:
-    """Energy per ordered pair, energy / (N(N-1)); the quantity that is monotone."""
-    if n < 2:
-        raise ValueError("pair-specific energy needs N >= 2")
-    return energy / (n * (n - 1))
-
-
-@dataclass(frozen=True)
-class TableEntry:
-    energy: float
-    label: str = ""
-
-
-@dataclass
-class TableMetadata:
-    domain: DomainSpec | None = None
-    potential: PotentialSpec | None = None
-    source: str = ""
-
-
-@dataclass
-class EnergyTable:
-    """Sparse map from particle count N to a putative ground-state energy.
-
-    At most one entry per N: on duplicate insertion the smaller energy wins
-    (both are upper bounds on the true value, so the lower one is sharper)
-    and the discard is logged.
-    """
-
-    entries: dict[int, TableEntry] = field(default_factory=dict)
-    metadata: TableMetadata = field(default_factory=TableMetadata)
-
-    def add(self, n: int, energy: float, label: str = "") -> bool:
-        """Insert an entry under the keep-lower rule; returns True if it was kept.
-
-        Raises ValueError for N < 2 or a non-finite energy, which no
-        configuration has.
-        """
-        if n < 2:
-            raise ValueError(f"table rows need N >= 2, got N={n}")
-        if not math.isfinite(energy):
-            raise ValueError(f"energy at N={n} must be finite, got {energy!r}")
-        old = self.entries.get(n)
-        if old is not None:
-            if energy >= old.energy:
-                logger.warning(
-                    "duplicate N=%d: keeping %r, discarding %r", n, old.energy, energy
-                )
-                return False
-            logger.warning(
-                "duplicate N=%d: keeping %r, discarding %r", n, energy, old.energy
-            )
-        self.entries[n] = TableEntry(float(energy), label)
-        return True
-
-    def counts(self) -> list[int]:
-        return sorted(self.entries)
-
-    def energy(self, n: int) -> float:
-        return self.entries[n].energy
-
-    def pair_specific(self, n: int) -> float:
-        return pair_specific(n, self.entries[n].energy)
-
-
-def table_digest(table: EnergyTable) -> str:
-    """Stable content hash of the table rows (insertion-order independent)."""
-    h = hashlib.sha256()
-    for n in table.counts():
-        h.update(f"{n}\t{table.entries[n].energy!r}\n".encode())
-    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -254,8 +180,6 @@ def brute_force_monotonicity_check(
             f"restart budget too small: need at least {100 * n_max} restarts "
             f"for n_max={n_max}, got {settings.restarts}"
         )
-    from .optimizer import multistart  # local import: optimizer depends on this module
-
     rows = []
     for n in range(2, n_max + 1):
         result = multistart(domain, pot, n, settings)

@@ -1,11 +1,4 @@
-"""Command-line surface: table files, audit gate, optimizer, model output.
-
-Table file format (bit-exact round trip): UTF-8 text with LF line endings;
-``#key=value`` header lines carrying metadata (domain, potential,
-aspect_ratio, source); data lines ``N<TAB>E`` with E written as a decimal
-string via shortest round-trip repr, so re-parsing reproduces the exact
-float.  Blank lines are ignored; duplicate N keeps the lower energy with a
-logged warning; N < 2 and non-finite energies are input errors.
+"""Command-line surface: audit gate, optimizer, model output.
 
 Exit codes: 0 clean, 1 monotonicity violations found (or a failed small-N
 check), 2 usage or input error — the audit subcommand is designed to compose
@@ -21,84 +14,18 @@ import sys
 from pathlib import Path
 
 from . import asymptotics
-from .audit import (
-    AuditReport,
-    EnergyTable,
-    TableMetadata,
-    brute_force_monotonicity_check,
-    monotonicity_audit,
-)
-from .geometry import FREE3, SPHERE, TORUS, DomainSpec, free3, sphere, torus
-from .potentials import (
-    LENNARD_JONES,
-    LOG,
-    RIESZ,
-    PotentialSpec,
-    coulomb,
-    lennard_jones,
-    log_coulomb,
-    riesz,
-)
+from .audit import AuditReport, brute_force_monotonicity_check, monotonicity_audit
 from .optimizer import OptimizerSettings, build_table
-
-logger = logging.getLogger(__name__)
-
-_DOMAIN_TOKENS = "sphere | torus:<ratio> | free3"
-_POTENTIAL_TOKENS = "log | riesz:<s> | coulomb:<D> | lj"
-
-
-class InputError(ValueError):
-    """A user input (file or flag value) could not be interpreted."""
-
-
-def parse_domain_token(token: str) -> DomainSpec:
-    name, _, arg = token.partition(":")
-    try:
-        if name == SPHERE and not arg:
-            return sphere()
-        if name == FREE3 and not arg:
-            return free3()
-        if name == TORUS:
-            if not arg:
-                raise InputError("torus domain needs an aspect ratio, e.g. torus:1.414")
-            return torus(float(arg))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad domain {token!r}: {exc}") from exc
-    raise InputError(f"unknown domain {token!r}; expected {_DOMAIN_TOKENS}")
-
-
-def parse_potential_token(token: str) -> PotentialSpec:
-    name, _, arg = token.partition(":")
-    try:
-        if name == LOG and not arg:
-            return log_coulomb()
-        if name == LENNARD_JONES and not arg:
-            return lennard_jones()
-        if name == RIESZ:
-            if not arg:
-                raise InputError("riesz potential needs an exponent, e.g. riesz:-1")
-            return riesz(float(arg))
-        if name == "coulomb":
-            if not arg:
-                raise InputError("coulomb potential needs a dimension, e.g. coulomb:3")
-            return coulomb(int(arg))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad potential {token!r}: {exc}") from exc
-    raise InputError(f"unknown potential {token!r}; expected {_POTENTIAL_TOKENS}")
-
-
-def format_domain_token(domain: DomainSpec) -> str:
-    return domain.kind
-
-
-def format_potential_token(pot: PotentialSpec) -> str:
-    if pot.kind == RIESZ:
-        return f"riesz:{pot.exponent!r}"
-    return pot.kind
+from .table import (
+    DOMAIN_TOKENS,
+    POTENTIAL_TOKENS,
+    InputError,
+    format_rows,
+    parse_domain_token,
+    parse_potential_token,
+    parse_table,
+    write_table,
+)
 
 
 def parse_n_range(token: str) -> list[int]:
@@ -124,79 +51,6 @@ def parse_n_range(token: str) -> list[int]:
     if not values:
         raise InputError("--n selected no counts")
     return sorted(set(values))
-
-
-def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
-    """Read a table file; see the module docstring for the format.
-
-    Malformed lines raise InputError naming the line number.  ``allow_empty``
-    admits header-only files (used by the asymptote subcommand, which can emit
-    a model over a requested range with no data rows).
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    headers: dict[str, str] = {}
-    table = EnergyTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, eq, value = line[1:].strip().partition("=")
-            if eq:
-                headers[key.strip().lower()] = value.strip()
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'N<TAB>E', got {raw!r}")
-        try:
-            n = int(fields[0])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad count {fields[0]!r}") from exc
-        try:
-            energy = float(fields[1])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad energy {fields[1]!r}") from exc
-        try:
-            table.add(n, energy, label=headers.get("source", ""))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    if not table.entries and not allow_empty:
-        raise InputError(f"{path}: no rows")
-    meta = TableMetadata(source=headers.get("source", ""))
-    if "domain" in headers:
-        token = headers["domain"]
-        if token == TORUS and "aspect_ratio" in headers:
-            token = f"torus:{headers['aspect_ratio']}"
-        meta.domain = parse_domain_token(token)
-    if "potential" in headers:
-        meta.potential = parse_potential_token(headers["potential"])
-    table.metadata = meta
-    return table
-
-
-def format_table(table: EnergyTable) -> str:
-    """Canonical serialization: fixed header order, rows sorted by N, LF endings."""
-    lines: list[str] = []
-    meta = table.metadata
-    if meta.domain is not None:
-        lines.append(f"#domain={format_domain_token(meta.domain)}")
-        if meta.domain.kind == TORUS:
-            lines.append(f"#aspect_ratio={meta.domain.aspect_ratio!r}")
-    if meta.potential is not None:
-        lines.append(f"#potential={format_potential_token(meta.potential)}")
-    if meta.source:
-        lines.append(f"#source={meta.source}")
-    for n in table.counts():
-        lines.append(f"{n}\t{table.entries[n].energy!r}")
-    return "\n".join(lines) + "\n"
-
-
-def write_table(table: EnergyTable, path: str | Path) -> None:
-    Path(path).write_text(format_table(table), encoding="utf-8", newline="\n")
 
 
 def report_records(report: AuditReport) -> list[dict]:
@@ -267,10 +121,8 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
     data_path = prefix.parent / (prefix.name + "-data.dat")
     model_path = prefix.parent / (prefix.name + "-model.dat")
-    data_text = "".join(f"{n}\t{table.pair_specific(n)!r}\n" for n in data_rows)
-    model_text = "".join(
-        f"{n}\t{asymptotics.pair_specific_model(model, n)!r}\n" for n in model_rows
-    )
+    data_text = format_rows((n, table.pair_specific(n)) for n in data_rows)
+    model_text = format_rows((n, asymptotics.pair_specific_model(model, n)) for n in model_rows)
     data_path.write_text(data_text, encoding="utf-8", newline="\n")
     model_path.write_text(model_text, encoding="utf-8", newline="\n")
     print(f"wrote {data_path} ({len(data_rows)} rows) and {model_path} ({len(model_rows)} rows)")
@@ -309,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_opt = sub.add_parser("optimize", help="produce a candidate energy table")
-    p_opt.add_argument("--domain", required=True, help=_DOMAIN_TOKENS)
-    p_opt.add_argument("--potential", required=True, help=_POTENTIAL_TOKENS)
+    p_opt.add_argument("--domain", required=True, help=DOMAIN_TOKENS)
+    p_opt.add_argument("--potential", required=True, help=POTENTIAL_TOKENS)
     p_opt.add_argument("--n", required=True, help="counts, e.g. 2-6 or 2,3,12")
     p_opt.add_argument("--restarts", type=int, default=50)
     p_opt.add_argument("--seed", type=int, default=0)
@@ -331,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_small = sub.add_parser(
         "prop1-check", help="brute-force small-N verification of the monotonicity law"
     )
-    p_small.add_argument("--domain", required=True, help=_DOMAIN_TOKENS)
-    p_small.add_argument("--potential", required=True, help=_POTENTIAL_TOKENS)
+    p_small.add_argument("--domain", required=True, help=DOMAIN_TOKENS)
+    p_small.add_argument("--potential", required=True, help=POTENTIAL_TOKENS)
     p_small.add_argument("--n-max", type=int, required=True, help="largest N, at most 8")
     p_small.add_argument(
         "--restarts", type=int, default=None, help="restart budget (default 100*n_max)"
@@ -349,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,14 +131,10 @@ def embed_points(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
     return np.column_stack((ring * np.cos(phi), ring * np.sin(phi), np.sin(theta)))
 
 
-def embed(p: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Ambient 3-vector of a single intrinsic point."""
-    return embed_points(np.asarray(p, dtype=float)[None, :], domain)[0]
-
-
 def chordal_distance(p: np.ndarray, q: np.ndarray, domain: DomainSpec) -> float:
     """Euclidean distance between the embedded images of two points."""
-    return float(np.linalg.norm(embed(p, domain) - embed(q, domain)))
+    a, b = embed_points(np.array([p, q], dtype=float), domain)
+    return float(np.linalg.norm(a - b))
 
 
 def surface_normals(points: np.ndarray, domain: DomainSpec) -> np.ndarray | None:
@@ -167,13 +163,6 @@ def tangent_project_points(
         return vs.copy()
     coef = np.einsum("ij,ij->i", vs, normals)
     return vs - coef[:, None] * normals
-
-
-def tangent_project(p: np.ndarray, v: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Single-point tangent projection."""
-    return tangent_project_points(
-        np.asarray(p, dtype=float)[None, :], np.asarray(v, dtype=float)[None, :], domain
-    )[0]
 
 
 def _reduce_angle(a: np.ndarray) -> np.ndarray:
@@ -209,13 +198,6 @@ def retract_points(points: np.ndarray, steps: np.ndarray, domain: DomainSpec) ->
     phi = np.arctan2(moved[:, 1], moved[:, 0])
     theta = np.arctan2(moved[:, 2], rho - domain.aspect_ratio)
     return np.column_stack((_reduce_angle(theta), _reduce_angle(phi)))
-
-
-def retract(p: np.ndarray, step: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """Single-point retraction."""
-    return retract_points(
-        np.asarray(p, dtype=float)[None, :], np.asarray(step, dtype=float)[None, :], domain
-    )[0]
 
 
 def random_configuration(domain: DomainSpec, n: int, seed: int) -> Configuration:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import EnergyTable, TableMetadata
+from .table import EnergyTable, TableMetadata
 from .geometry import (
     TORUS,
     MAX_TORUS_STEP,

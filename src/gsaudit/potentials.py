@@ -118,7 +118,10 @@ def _energy_kernel(pot: PotentialSpec, r2):
             inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
             return inv6 * inv6 - inv6
     s = pot.exponent
-    return -math.copysign(1.0, s) * r2 ** (0.5 * s)
+    # With s <= -2, r^s overflows to +inf for r2 below about 1e-308; that is
+    # the energy of the pair.
+    with np.errstate(over="ignore"):
+        return -math.copysign(1.0, s) * r2 ** (0.5 * s)
 
 
 def _gradient_kernel(pot: PotentialSpec, r2):
@@ -303,20 +306,25 @@ def energy_gradient_of_points(
         raise ValueError("gradient needs at least two points")
     x = embed_points(points, domain)
     grad = np.zeros_like(x)
-    for a, r2 in _separation_blocks(x):
-        # Each row i of the block takes its pairs with every j >= a; the
-        # columns right of the leading square also give each later row j its
-        # pair with i, which no later block visits.
-        b = a + r2.shape[0]
-        np.fill_diagonal(r2, 1.0)
-        if not r2.all():
-            raise CoincidentPointsError("coincident points: gradient undefined")
-        w = _gradient_kernel(pot, r2)
-        np.fill_diagonal(w, 0.0)
-        grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
-        if b < len(x):
-            right = w[:, b - a :]
-            grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
+    # At tiny separations a kernel's derivative overflows, and the rows it
+    # touches become inf or nan; one check on the result catches them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, r2 in _separation_blocks(x):
+            # Each row i of the block takes its pairs with every j >= a; the
+            # columns right of the leading square also give each later row j
+            # its pair with i, which no later block visits.
+            b = a + r2.shape[0]
+            np.fill_diagonal(r2, 1.0)
+            if not r2.all():
+                raise CoincidentPointsError("coincident points: gradient undefined")
+            w = _gradient_kernel(pot, r2)
+            np.fill_diagonal(w, 0.0)
+            grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
+            if b < len(x):
+                right = w[:, b - a :]
+                grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
+    if not np.isfinite(grad).all():
+        raise CoincidentPointsError("points too close: gradient overflows")
     return tangent_project_points(points, grad, domain)
 
 

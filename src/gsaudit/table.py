@@ -1,0 +1,235 @@
+"""Energy tables: the table type, its file format and its digest.
+
+Table file format (bit-exact round trip): UTF-8 text with LF line endings;
+``#key=value`` header lines carrying metadata (domain, potential,
+aspect_ratio, source); data lines ``N<TAB>E`` with E written as a decimal
+string via shortest round-trip repr, so re-parsing reproduces the exact
+float.  Blank lines are ignored; duplicate N keeps the lower energy with a
+logged warning; N < 2 and non-finite energies are input errors.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import math
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from .geometry import FREE3, SPHERE, TORUS, DomainSpec, free3, sphere, torus
+from .potentials import (
+    LENNARD_JONES,
+    LOG,
+    RIESZ,
+    PotentialSpec,
+    coulomb,
+    lennard_jones,
+    log_coulomb,
+    riesz,
+)
+
+logger = logging.getLogger(__name__)
+
+DOMAIN_TOKENS = "sphere | torus:<ratio> | free3"
+POTENTIAL_TOKENS = "log | riesz:<s> | coulomb:<D> | lj"
+
+
+def pair_specific(n: int, energy: float) -> float:
+    """Energy per ordered pair, energy / (N(N-1)); the quantity that is monotone."""
+    if n < 2:
+        raise ValueError("pair-specific energy needs N >= 2")
+    return energy / (n * (n - 1))
+
+
+@dataclass(frozen=True)
+class TableEntry:
+    energy: float
+    label: str = ""
+
+
+@dataclass
+class TableMetadata:
+    domain: DomainSpec | None = None
+    potential: PotentialSpec | None = None
+    source: str = ""
+
+
+@dataclass
+class EnergyTable:
+    """Sparse map from particle count N to a putative ground-state energy.
+
+    At most one entry per N: on duplicate insertion the smaller energy wins
+    (both are upper bounds on the true value, so the lower one is sharper)
+    and the discard is logged.
+    """
+
+    entries: dict[int, TableEntry] = field(default_factory=dict)
+    metadata: TableMetadata = field(default_factory=TableMetadata)
+
+    def add(self, n: int, energy: float, label: str = "") -> bool:
+        """Insert an entry under the keep-lower rule; returns True if it was kept.
+
+        Raises ValueError for N < 2 or a non-finite energy, which no
+        configuration has.
+        """
+        if n < 2:
+            raise ValueError(f"table rows need N >= 2, got N={n}")
+        if not math.isfinite(energy):
+            raise ValueError(f"energy at N={n} must be finite, got {energy!r}")
+        old = self.entries.get(n)
+        if old is not None:
+            if energy >= old.energy:
+                logger.warning(
+                    "duplicate N=%d: keeping %r, discarding %r", n, old.energy, energy
+                )
+                return False
+            logger.warning(
+                "duplicate N=%d: keeping %r, discarding %r", n, energy, old.energy
+            )
+        self.entries[n] = TableEntry(float(energy), label)
+        return True
+
+    def counts(self) -> list[int]:
+        return sorted(self.entries)
+
+    def energy(self, n: int) -> float:
+        return self.entries[n].energy
+
+    def pair_specific(self, n: int) -> float:
+        return pair_specific(n, self.entries[n].energy)
+
+
+def format_rows(rows: Iterable[tuple[int, float]]) -> str:
+    """Data lines ``N<TAB>value``, the value in shortest round-trip repr."""
+    return "".join(f"{n}\t{value!r}\n" for n, value in rows)
+
+
+def _energy_rows(table: EnergyTable) -> str:
+    return format_rows((n, table.entries[n].energy) for n in table.counts())
+
+
+def table_digest(table: EnergyTable) -> str:
+    """Stable content hash of the table rows (insertion-order independent)."""
+    return hashlib.sha256(_energy_rows(table).encode()).hexdigest()[:16]
+
+
+class InputError(ValueError):
+    """A user input (file or flag value) could not be interpreted."""
+
+
+def parse_domain_token(token: str) -> DomainSpec:
+    name, _, arg = token.partition(":")
+    try:
+        if name == SPHERE and not arg:
+            return sphere()
+        if name == FREE3 and not arg:
+            return free3()
+        if name == TORUS:
+            if not arg:
+                raise InputError("torus domain needs an aspect ratio, e.g. torus:1.414")
+            return torus(float(arg))
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"bad domain {token!r}: {exc}") from exc
+    raise InputError(f"unknown domain {token!r}; expected {DOMAIN_TOKENS}")
+
+
+def parse_potential_token(token: str) -> PotentialSpec:
+    name, _, arg = token.partition(":")
+    try:
+        if name == LOG and not arg:
+            return log_coulomb()
+        if name == LENNARD_JONES and not arg:
+            return lennard_jones()
+        if name == RIESZ:
+            if not arg:
+                raise InputError("riesz potential needs an exponent, e.g. riesz:-1")
+            return riesz(float(arg))
+        if name == "coulomb":
+            if not arg:
+                raise InputError("coulomb potential needs a dimension, e.g. coulomb:3")
+            return coulomb(int(arg))
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"bad potential {token!r}: {exc}") from exc
+    raise InputError(f"unknown potential {token!r}; expected {POTENTIAL_TOKENS}")
+
+
+def format_potential_token(pot: PotentialSpec) -> str:
+    if pot.kind == RIESZ:
+        return f"riesz:{pot.exponent!r}"
+    return pot.kind
+
+
+def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
+    """Read a table file; see the module docstring for the format.
+
+    Malformed lines raise InputError naming the line number.  ``allow_empty``
+    admits header-only files (used by the asymptote subcommand, which can emit
+    a model over a requested range with no data rows).
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    headers: dict[str, str] = {}
+    table = EnergyTable()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, eq, value = line[1:].strip().partition("=")
+            if eq:
+                headers[key.strip().lower()] = value.strip()
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'N<TAB>E', got {raw!r}")
+        try:
+            n = int(fields[0])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: bad count {fields[0]!r}") from exc
+        try:
+            energy = float(fields[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: bad energy {fields[1]!r}") from exc
+        try:
+            table.add(n, energy, label=headers.get("source", ""))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    if not table.entries and not allow_empty:
+        raise InputError(f"{path}: no rows")
+    meta = TableMetadata(source=headers.get("source", ""))
+    if "domain" in headers:
+        token = headers["domain"]
+        if token == TORUS and "aspect_ratio" in headers:
+            token = f"torus:{headers['aspect_ratio']}"
+        meta.domain = parse_domain_token(token)
+    if "potential" in headers:
+        meta.potential = parse_potential_token(headers["potential"])
+    table.metadata = meta
+    return table
+
+
+def format_table(table: EnergyTable) -> str:
+    """Canonical serialization: fixed header order, rows sorted by N, LF endings."""
+    lines: list[str] = []
+    meta = table.metadata
+    if meta.domain is not None:
+        lines.append(f"#domain={meta.domain.kind}")
+        if meta.domain.kind == TORUS:
+            lines.append(f"#aspect_ratio={meta.domain.aspect_ratio!r}")
+    if meta.potential is not None:
+        lines.append(f"#potential={format_potential_token(meta.potential)}")
+    if meta.source:
+        lines.append(f"#source={meta.source}")
+    return "".join(line + "\n" for line in lines) + _energy_rows(table)
+
+
+def write_table(table: EnergyTable, path: str | Path) -> None:
+    Path(path).write_text(format_table(table), encoding="utf-8", newline="\n")

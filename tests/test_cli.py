@@ -4,13 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsaudit import fixture_path
 from gsaudit.asymptotics import A_LOG_SPHERE, thomson_sphere_model
 from gsaudit.audit import EnergyTable, TableMetadata, pair_specific, table_digest
 from gsaudit.cli import (
     InputError,
-    format_table,
     main,
     parse_domain_token,
     parse_n_range,
@@ -20,6 +21,7 @@ from gsaudit.cli import (
 )
 from gsaudit.geometry import free3, sphere, torus
 from gsaudit.potentials import coulomb, lennard_jones, log_coulomb, riesz
+from gsaudit.table import format_table
 
 FIXTURES = [
     "log_sphere_pair_n97.tsv",
@@ -158,6 +160,37 @@ class TestRoundTrip:
         }
         assert again.metadata.domain == t.metadata.domain
         assert again.metadata.potential == t.metadata.potential
+
+    # Shortest-repr rows must give back every bit of any finite float: signed
+    # zeros, subnormals and values at the edge of overflow included.
+    @settings(deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.integers(min_value=2, max_value=10**9),
+            st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=20,
+        ),
+        domain=st.sampled_from([sphere(), free3()])
+        | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False).map(torus),
+        potential=st.sampled_from([log_coulomb(), lennard_jones()])
+        | st.floats(max_value=2.0, exclude_max=True, allow_infinity=False).filter(bool).map(riesz),
+    )
+    def test_arbitrary_finite_tables_round_trip_exactly(
+        self, rows, domain, potential, tmp_path_factory
+    ):
+        t = EnergyTable(metadata=TableMetadata(domain=domain, potential=potential))
+        for n, e in rows.items():
+            t.add(n, e)
+        out = tmp_path_factory.mktemp("round_trip") / "t.tsv"
+        write_table(t, out)
+        again = parse_table(out)
+        assert {n: e.energy.hex() for n, e in again.entries.items()} == {
+            n: e.hex() for n, e in rows.items()
+        }
+        assert again.metadata == t.metadata
+        assert table_digest(again) == table_digest(t)
 
     def test_canonical_text_has_lf_endings_and_sorted_rows(self):
         t = EnergyTable()
@@ -359,6 +392,15 @@ class TestSmallNCheckCommand:
         rc = main(["prop1-check", "--domain", "sphere", "--potential", "log",
                    "--n-max", "3", "--restarts", "100"])
         assert rc == 2
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gsaudit, sys; assert 'gsaudit.cli' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point():

@@ -10,16 +10,13 @@ from gsaudit.geometry import (
     DomainSpec,
     StepTooLargeError,
     chordal_distance,
-    embed,
     embed_points,
     free3,
     intrinsic_dim,
     random_configuration,
-    retract,
     retract_points,
     sphere,
     surface_normals,
-    tangent_project,
     tangent_project_points,
     torus,
 )
@@ -69,19 +66,19 @@ class TestDomainSpec:
 class TestEmbed:
     def test_sphere_identity(self):
         p = np.array([0.0, 0.0, 1.0])
-        assert np.array_equal(embed(p, sphere()), p)
+        assert np.array_equal(embed_points(p[None], sphere())[0], p)
 
     def test_torus_outer_equator(self):
-        got = embed(np.array([0.0, 0.0]), torus(1.414))
+        got = embed_points(np.array([[0.0, 0.0]]), torus(1.414))[0]
         assert np.allclose(got, [2.414, 0.0, 0.0], atol=1e-12)
 
     def test_torus_inner_equator(self):
-        got = embed(np.array([math.pi, 0.0]), torus(1.414))
+        got = embed_points(np.array([[math.pi, 0.0]]), torus(1.414))[0]
         assert np.allclose(got, [0.414, 0.0, 0.0], atol=1e-12)
 
     def test_free3_identity(self):
         p = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(embed(p, free3()), p)
+        assert np.array_equal(embed_points(p[None], free3())[0], p)
 
 
 class TestChordalDistance:
@@ -169,16 +166,16 @@ class TestRandomConfiguration:
 
 class TestTangentProject:
     def test_sphere_removes_normal_component(self):
-        got = tangent_project(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), sphere())
+        got = tangent_project_points(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 2.0, 3.0]]), sphere())[0]
         assert np.allclose(got, [1.0, 2.0, 0.0], atol=1e-15)
 
     def test_parallel_vector_projects_to_zero(self):
         p = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(tangent_project(p, 5.0 * p, sphere()), 0.0, atol=1e-15)
+        assert np.allclose(tangent_project_points(p[None], 5.0 * p[None], sphere())[0], 0.0, atol=1e-15)
 
     def test_free3_identity(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(tangent_project(np.zeros(3), v, free3()), v)
+        assert np.array_equal(tangent_project_points(np.zeros((1, 3)), v[None], free3())[0], v)
 
     @pytest.mark.parametrize("domain", [sphere(), torus(1.414)], ids=lambda d: d.kind)
     def test_result_is_orthogonal_to_normal(self, domain):
@@ -225,7 +222,7 @@ class TestRetract:
         # near zero separation
         p = np.array([1.0, 0.0, 0.0])
         eps = 1e-8
-        q = retract(p, np.array([0.0, eps, 0.0]), sphere())
+        q = retract_points(p[None], np.array([[0.0, eps, 0.0]]), sphere())[0]
         angle = math.atan2(np.linalg.norm(np.cross(p, q)), float(np.dot(p, q)))
         assert abs(angle - eps) < 1e-15
 
@@ -257,7 +254,7 @@ class TestRetract:
     def test_free3_translation(self):
         p = np.array([1.0, 2.0, 3.0])
         s = np.array([0.5, -0.5, 0.25])
-        assert np.array_equal(retract(p, s, free3()), p + s)
+        assert np.array_equal(retract_points(p[None], s[None], free3())[0], p + s)
 
 
 class TestConfiguration:

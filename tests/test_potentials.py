@@ -214,6 +214,20 @@ class TestEnergyGradient:
         with pytest.raises(CoincidentPointsError):
             energy_gradient(Configuration(sphere(), pts), riesz(-1.0))
 
+    # Clusters so small that a kernel overflows: the energies are +inf and the
+    # gradient is refused, with no RuntimeWarning on the way.
+    @pytest.mark.parametrize(
+        "pot, size",
+        [(lennard_jones(), 10.0 ** -25.66), (lennard_jones(), 1e-60), (riesz(-2.0), 1e-160)],
+        ids=["lj-sum", "lj-r6", "riesz-2"],
+    )
+    def test_overflowing_cluster(self, pot, size):
+        points = np.vstack([np.zeros(3), size * np.eye(3)])
+        assert total_energy_of_points(points, free3(), pot) == math.inf
+        assert search_energy_of_points(points, free3(), pot) == math.inf
+        with pytest.raises(CoincidentPointsError):
+            energy_gradient_of_points(points, free3(), pot)
+
     def test_gradient_rows_are_tangent(self):
         for domain in (sphere(), torus(1.414)):
             c = random_configuration(domain, 10, 4)
