@@ -118,7 +118,7 @@ def _energy_kernel(pot: PotentialSpec, r2):
             inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
             return inv6 * inv6 - inv6
     s = pot.exponent
-    # With s <= -2, r^s overflows to +inf for r2 below about 1e-308; that is
+    # For s below about -1.9, r^s overflows at the tiniest r2; +inf is then
     # the energy of the pair.
     with np.errstate(over="ignore"):
         return -math.copysign(1.0, s) * r2 ** (0.5 * s)
