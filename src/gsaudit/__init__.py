@@ -26,7 +26,6 @@ from .potentials import (
     energy_gradient,
     lennard_jones,
     log_coulomb,
-    pair_energy,
     riesz,
     total_energy,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "model_energy",
     "monotonicity_audit",
     "multistart",
-    "pair_energy",
     "pair_specific",
     "pair_specific_model",
     "parse_table",

@@ -40,7 +40,7 @@ B_LOG_SPHERE = -0.25
 A_THOMSON = 0.5
 
 
-def zeta_alternating(s: float, tol: float = 1e-14, max_terms: int = 400) -> float:
+def zeta_alternating(s: float) -> float:
     """Riemann zeta for s in (0, 1) via the eta identity with Euler acceleration.
 
     zeta(s) = eta(s) / (1 - 2^(1-s)) where eta(s) = sum (-1)^k (k+1)^(-s).
@@ -48,18 +48,18 @@ def zeta_alternating(s: float, tol: float = 1e-14, max_terms: int = 400) -> floa
     completely monotone term sequence (all differences stay positive, so the
     scheme is cancellation-free); each differencing level contributes
     diff[0] / 2^(n+1), which decays geometrically — about 35 levels reach
-    1e-11, comfortably under 100 terms for 1e-8.
+    1e-11.  Summation stops at the first level below 1e-14, or at 400 terms.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("this evaluation path is tuned for s in (0, 1)")
-    terms = (np.arange(1, max_terms + 2, dtype=float)) ** -s
+    terms = np.arange(1, 402, dtype=float) ** -s
     total = terms[0] / 2.0
     diffs = terms
-    for level in range(1, max_terms):
+    for level in range(1, 400):
         diffs = diffs[:-1] - diffs[1:]
         contribution = diffs[0] / 2.0 ** (level + 1)
         total += contribution
-        if contribution < tol:
+        if contribution < 1e-14:
             break
     return float(total / (1.0 - 2.0 ** (1.0 - s)))
 
@@ -117,12 +117,12 @@ def log_sphere_model(c: float | None = None, d: float | None = None) -> Asymptot
     return AsymptoticModel(LOG_SPHERE, a=A_LOG_SPHERE, b=B_LOG_SPHERE, c=c, d=d)
 
 
-def thomson_sphere_model(d: float = 0.0, tail_tolerance: float = 1e-6) -> AsymptoticModel:
+def thomson_sphere_model(d: float = 0.0) -> AsymptoticModel:
     """1/r sphere model with computed b; c = e = 0, d defaults to 0 (no published closed form)."""
     return AsymptoticModel(
         THOMSON_SPHERE,
         a=A_THOMSON,
-        b=compute_b_coefficient(tail_tolerance),
+        b=compute_b_coefficient(1e-6),
         c=0.0,
         d=float(d),
         e=0.0,

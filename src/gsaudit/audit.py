@@ -145,14 +145,13 @@ class SmallNCheckReport:
 
     ``eps_strictly_increasing`` checks the pair-specific sequence itself;
     ``step_bound_ok`` checks the sharper per-step law
-    E(N+1) >= ((N+1)/(N-1)) * E(N), allowing ``relative_slack`` of numerical
-    leeway on each comparison.
+    E(N+1) >= ((N+1)/(N-1)) * E(N), allowing a slack of 1e-7 * max(1, |rhs|)
+    on each comparison.
     """
 
     rows: tuple[SmallNRow, ...]
     eps_strictly_increasing: bool
     step_bound_ok: bool
-    relative_slack: float
 
     @property
     def passed(self) -> bool:
@@ -164,7 +163,6 @@ def brute_force_monotonicity_check(
     pot: PotentialSpec,
     n_max: int,
     settings,
-    relative_slack: float = 1e-7,
 ) -> SmallNCheckReport:
     """Estimate ground-state energies for N = 2..n_max and verify monotonicity.
 
@@ -188,6 +186,6 @@ def brute_force_monotonicity_check(
     step_ok = True
     for a, b in zip(rows, rows[1:]):
         floor = (a.n + 1) / (a.n - 1) * a.energy
-        if b.energy < floor - relative_slack * max(1.0, abs(floor)):
+        if b.energy < floor - 1e-7 * max(1.0, abs(floor)):
             step_ok = False
-    return SmallNCheckReport(tuple(rows), eps_ok, step_ok, relative_slack)
+    return SmallNCheckReport(tuple(rows), eps_ok, step_ok)

@@ -1,8 +1,8 @@
 """Command-line surface: audit gate, optimizer, model output.
 
 Exit codes: 0 clean, 1 monotonicity violations found (or a failed small-N
-check), 2 usage or input error — the audit subcommand is designed to compose
-into experiment pipelines as a gate.
+check), 2 usage, input or file error — the audit subcommand is designed to
+compose into experiment pipelines as a gate.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,12 +103,12 @@ class Configuration:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check the per-domain coordinate invariants, raising on violation."""
+    def validate(self) -> None:
+        """Check the per-domain invariants (sphere norms 1 to 1e-12), raising on violation."""
         if self.domain.kind == SPHERE:
             norms = np.linalg.norm(self.points, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > atol:
+            if worst > 1e-12:
                 raise ValueError(f"sphere point norm deviates from 1 by {worst:.3e}")
         elif self.domain.kind == TORUS:
             if np.any(self.points < 0.0) or np.any(self.points >= TWO_PI):

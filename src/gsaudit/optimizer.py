@@ -43,7 +43,6 @@ from .potentials import (
     energy_gradient_of_points,
     search_energy_of_points,
     total_energy_of_points,
-    validate_domain_potential,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,17 +62,17 @@ _BB_GROW = 1e3
 class OptimizerSettings:
     """Knobs for local search and multistart.
 
-    ``max_iterations`` and ``initial_step`` default (when None) to 50 * N and
-    0.1 / N for an N-point configuration.  ``gradient_tolerance`` is the
-    convergence threshold on the largest per-point tangent gradient norm; its
-    default, 1e-6, sits above the roundoff floor of the energy comparison,
-    where tolerances near 1e-10 stall before they are met.
+    ``max_iterations`` defaults (when None) to 50 * N for an N-point
+    configuration; the first trial step is always 0.1 / N.
+    ``gradient_tolerance`` is the convergence threshold on the largest
+    per-point tangent gradient norm; its default, 1e-6, sits above the
+    roundoff floor of the energy comparison, where tolerances near 1e-10
+    stall before they are met.
     """
 
     restarts: int = 50
     max_iterations: int | None = None
     gradient_tolerance: float = 1e-6
-    initial_step: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -83,20 +82,18 @@ class OptimizerSettings:
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
 
     def resolved(self, n: int) -> tuple[int, float]:
         max_iter = self.max_iterations if self.max_iterations is not None else 50 * n
-        step = self.initial_step if self.initial_step is not None else 0.1 / n
-        return max_iter, step
+        return max_iter, 0.1 / n
 
     def digest(self) -> str:
         return (
             f"multistart restarts={self.restarts} seed={self.seed} "
             f"gtol={self.gradient_tolerance:g} "
             f"iters={'auto' if self.max_iterations is None else self.max_iterations} "
-            f"step={'auto' if self.initial_step is None else self.initial_step}"
+            # The first step is always 0.1 / N; the token keeps #source= headers as they were.
+            "step=auto"
         )
 
 
@@ -128,7 +125,6 @@ def local_minimize(
 ) -> RunResult:
     """Projected-gradient descent with backtracking from one start configuration."""
     domain = c0.domain
-    validate_domain_potential(domain, pot)
     if c0.n_points < 2:
         raise ValueError("minimization needs at least two points")
     x = c0.points.copy()
@@ -193,7 +189,6 @@ def multistart(
     """Best local-search result over ``settings.restarts`` independent starts."""
     if n < 2:
         raise ValueError("need at least two points")
-    validate_domain_potential(domain, pot)
     best: RunResult | None = None
     for r in range(settings.restarts):
         start = random_configuration(domain, n, derived_seed(settings.seed, r))

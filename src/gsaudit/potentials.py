@@ -14,15 +14,18 @@ result.  It is summed without one Python float per pair: error-free
 extraction (Rump, Ogita & Oishi 2008) splits each block's energies into a
 few floats with the same exact sum, and one ``math.fsum`` over those rounds
 the total.  The line search compares energies from
-:func:`search_energy_of_points`, an uncompensated ``np.sum`` that agrees to
-roundoff.  Each kernel's value is written once, in ``_energy_kernel``, and
-its derivative once, in ``_gradient_kernel``; the energies, the gradient and
-the scalar views all call these.  Evaluation is O(N^2) per call, which is
-fine at the desk scales this package targets.  It runs over blocks of rows
-of the pair matrix, each from its own diagonal on, so its memory is O(N) and
-no (N, N) array is ever formed.  Only the pairs among a block's own rows are
-visited in both directions; the gradient applies the weight U'(r)/r of every
-other pair, visited once, to both of its ends.
+:func:`search_energy_of_points`, an uncompensated ``np.sum`` over the same
+blocks of pair energies that agrees to roundoff.  Each kernel's value is
+written once, in ``_energy_kernel``, and its derivative once, in
+``_gradient_kernel``.  At r2 = 0 the kernel takes its limit: a coincident
+pair's energy is +inf, or 0 for the power law with 0 < s < 2, and its
+gradient is not finite, so the gradient refuses it.
+Evaluation is O(N^2) per call, which is fine at the desk scales this package
+targets.  It runs over blocks of rows of the pair matrix, each from its own
+diagonal on, so its memory is O(N) and no (N, N) array is ever formed.  Only
+the pairs among a block's own rows are visited in both directions; the
+gradient applies the weight U'(r)/r of every other pair, visited once, to
+both of its ends.
 """
 
 from __future__ import annotations
@@ -99,33 +102,28 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
-def _vanishes_at_zero(pot: PotentialSpec) -> bool:
-    """True for the power law with 0 < s < 2, which tends to 0 at r = 0; the rest diverge."""
-    return pot.kind == RIESZ and pot.exponent > 0.0
+def _energy_kernel(pot: PotentialSpec, r2: np.ndarray) -> np.ndarray:
+    """U(r) at squared separations r2 >= 0.
 
-
-def _energy_kernel(pot: PotentialSpec, r2):
-    """U(r) at squared separations r2 > 0 (a float or an array).
-
-    The one place where each kernel's value is written.
+    The one place where each kernel's value is written.  At r2 = 0 the math
+    gives the kernel's limit: +inf, or -0.0 for the power law with 0 < s < 2.
+    Callers silence the divide and overflow warnings on the way.
     """
     if pot.kind == LOG:
         return -0.5 * np.log(r2)
     if pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
-        with np.errstate(over="ignore"):
-            inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
-            return inv6 * inv6 - inv6
-    s = pot.exponent
+        inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
+        return inv6 * inv6 - inv6
     # For s below about -1.9, r^s overflows at the tiniest r2; +inf is then
     # the energy of the pair.
-    with np.errstate(over="ignore"):
-        return -math.copysign(1.0, s) * r2 ** (0.5 * s)
+    s = pot.exponent
+    return -math.copysign(1.0, s) * r2 ** (0.5 * s)
 
 
-def _gradient_kernel(pot: PotentialSpec, r2):
-    """U'(r)/r at squared separations r2 > 0 (a float or an array).
+def _gradient_kernel(pot: PotentialSpec, r2: np.ndarray) -> np.ndarray:
+    """U'(r)/r at squared separations r2; +-inf or nan at r2 = 0.
 
     The one place where each kernel's derivative is written.
     """
@@ -136,26 +134,6 @@ def _gradient_kernel(pot: PotentialSpec, r2):
         return (6.0 * inv6 - 12.0 * inv6 * inv6) / r2
     s = pot.exponent
     return -abs(s) * r2 ** (0.5 * s - 1.0)
-
-
-def pair_energy(pot: PotentialSpec, r: float) -> float:
-    """Kernel value at separation r >= 0.
-
-    At r = 0 the repulsive kernels diverge to +inf; the power-law kernel with
-    0 < s < 2 tends to 0 there and returns 0 by continuity.
-    """
-    if r < 0.0:
-        raise ValueError("separation must be nonnegative")
-    if r == 0.0:
-        return 0.0 if _vanishes_at_zero(pot) else math.inf
-    return float(_energy_kernel(pot, r * r))
-
-
-def radial_derivative(pot: PotentialSpec, r: float) -> float:
-    """d/dr of the kernel at separation r > 0."""
-    if r <= 0.0:
-        raise ValueError("separation must be positive")
-    return float(_gradient_kernel(pot, r * r)) * r
 
 
 # Size of one block of the pair matrix, in elements: a (rows, N) float64 slab
@@ -223,6 +201,24 @@ def _exact_sum_terms(u: np.ndarray) -> list[float]:
         u -= h
 
 
+def _energy_blocks(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec):
+    """Pair energies over the row blocks of :func:`_separation_blocks`.
+
+    Yields ``(m, u)`` for each block of m rows, where u holds the kernel at
+    the block's r2 with its diagonal zeroed: the leading (m, m) square has the
+    block's own pairs in both directions, the columns right of it each pair
+    with a later row once.  ``u`` is valid until the next block is drawn.
+    """
+    validate_domain_potential(domain, pot)
+    if points.shape[0] < 2:
+        raise ValueError("energy needs at least two points")
+    for _, r2 in _separation_blocks(embed_points(points, domain)):
+        np.fill_diagonal(r2, 1.0)
+        u = _energy_kernel(pot, r2)
+        np.fill_diagonal(u, 0.0)
+        yield r2.shape[0], u
+
+
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
     """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf.
 
@@ -230,23 +226,13 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     all pairs i < j.  A coincident pair gives +inf, except for a kernel that
     vanishes at r = 0, where the pair adds 0.
     """
-    validate_domain_potential(domain, pot)
-    if points.shape[0] < 2:
-        raise ValueError("energy needs at least two points")
-    vanishes = _vanishes_at_zero(pot)
     terms = []
-    for _, r2 in _separation_blocks(embed_points(points, domain)):
-        # Of the block's leading square only the pairs right of the diagonal
-        # count: the rest is set to r2 = 1 and its energies to 0.  A
-        # vanishing kernel gives 0 for a coincident pair by itself.
-        m = r2.shape[0]
-        lower = np.tri(m, dtype=bool)
-        r2[:, :m][lower] = 1.0
-        if not vanishes and not r2.all():
-            return math.inf
-        u = _energy_kernel(pot, r2)
-        u[:, :m][lower] = 0.0
-        terms += _exact_sum_terms(u)
+    with np.errstate(divide="ignore", over="ignore"):
+        for m, u in _energy_blocks(points, domain, pot):
+            # Of the block's leading square only the pairs right of the
+            # diagonal count.
+            u[:, :m][np.tri(m, dtype=bool)] = 0.0
+            terms += _exact_sum_terms(u)
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -259,31 +245,17 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
 def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
     """Fast total pair energy for line-search comparisons; may be +inf.
 
-    Equals :func:`total_energy_of_points` up to roundoff and follows its
-    ``r2 == 0`` rules, but adds plain ``np.sum`` totals of row blocks instead
-    of rounding the exact sum.  The sum is a deterministic function of the
+    Equals :func:`total_energy_of_points` up to roundoff, coincident pairs
+    included, but adds plain ``np.sum`` totals of row blocks instead of
+    rounding the exact sum.  The sum is a deterministic function of the
     points.  No reported energy comes from it.
     """
-    validate_domain_potential(domain, pot)
-    if points.shape[0] < 2:
-        raise ValueError("energy needs at least two points")
-    vanishes = _vanishes_at_zero(pot)
     total = 0.0
-    for _, r2 in _separation_blocks(embed_points(points, domain)):
-        # The block's leading square holds each of its pairs twice and its
-        # points' zero self-distances on the diagonal.  A vanishing kernel
-        # gives exactly 0 at r2 == 0, on the diagonal and for coincident pairs
-        # alike.
-        m = r2.shape[0]
-        if not vanishes:
-            np.fill_diagonal(r2[:, :m], 1.0)
-            if not r2.all():
-                return math.inf
-        u = _energy_kernel(pot, r2)
-        np.fill_diagonal(u[:, :m], 0.0)
-        # Finite pair energies at tiny separations (Lennard-Jones, or a power
-        # law with s < 0) can sum past the largest float: the total is +inf.
-        with np.errstate(over="ignore"):
+    # Finite pair energies at tiny separations (Lennard-Jones, or a power law
+    # with s < 0) can sum past the largest float: the total is +inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        for m, u in _energy_blocks(points, domain, pot):
+            # The block's leading square holds each of its pairs twice.
             total += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
     return total
 
@@ -306,17 +278,16 @@ def energy_gradient_of_points(
         raise ValueError("gradient needs at least two points")
     x = embed_points(points, domain)
     grad = np.zeros_like(x)
-    # At tiny separations a kernel's derivative overflows, and the rows it
-    # touches become inf or nan; one check on the result catches them.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A coincident pair has an infinite or nan weight, and at tiny separations
+    # a kernel's derivative overflows; either way the rows it touches become
+    # inf or nan, and one check on the result catches them.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for a, r2 in _separation_blocks(x):
             # Each row i of the block takes its pairs with every j >= a; the
             # columns right of the leading square also give each later row j
             # its pair with i, which no later block visits.
             b = a + r2.shape[0]
             np.fill_diagonal(r2, 1.0)
-            if not r2.all():
-                raise CoincidentPointsError("coincident points: gradient undefined")
             w = _gradient_kernel(pot, r2)
             np.fill_diagonal(w, 0.0)
             grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
@@ -324,7 +295,7 @@ def energy_gradient_of_points(
                 right = w[:, b - a :]
                 grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
     if not np.isfinite(grad).all():
-        raise CoincidentPointsError("points too close: gradient overflows")
+        raise CoincidentPointsError("points coincide or are too close: gradient is not finite")
     return tangent_project_points(points, grad, domain)
 
 

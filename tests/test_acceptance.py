@@ -140,9 +140,7 @@ def test_criterion_5_small_n_monotonicity_property(report):
     checks = []
     details = []
     for pot, name in [(riesz(-1.0), "1/r"), (log_coulomb(), "log")]:
-        result = brute_force_monotonicity_check(
-            sphere(), pot, 6, settings, relative_slack=1e-7
-        )
+        result = brute_force_monotonicity_check(sphere(), pot, 6, settings)
         checks.append(result.eps_strictly_increasing)
         checks.append(result.step_bound_ok)
         eps = ", ".join(f"{row.pair_specific:.5f}" for row in result.rows)

@@ -368,6 +368,22 @@ class TestAsymptoteCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["optimize", "--domain", "sphere", "--potential", "riesz:-1", "--n", "2-3",
+         "--restarts", "1"],
+        ["asymptote", "--model", "thomson-sphere",
+         "--input", str(fixture_path("thomson_sphere_exact_small.tsv"))],
+    ],
+    ids=["optimize", "asymptote"],
+)
+def test_output_into_missing_directory_exits_two(command, tmp_path, capsys):
+    rc = main(command + ["--out", str(tmp_path / "missing" / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSmallNCheckCommand:
     def test_vacuous_pass(self, capsys):
         rc = main(["prop1-check", "--domain", "sphere", "--potential", "riesz:-1",

@@ -37,13 +37,11 @@ class TestSettings:
             OptimizerSettings(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerSettings(max_iterations=0)
-        with pytest.raises(ValueError):
-            OptimizerSettings(initial_step=0.0)
 
     def test_size_dependent_defaults(self):
         s = OptimizerSettings()
         assert s.resolved(10) == (500, 0.01)
-        assert OptimizerSettings(max_iterations=7, initial_step=0.5).resolved(10) == (7, 0.5)
+        assert OptimizerSettings(max_iterations=7).resolved(10) == (7, 0.01)
 
     def test_derived_seeds_differ_per_restart(self):
         seeds = {derived_seed(0, r) for r in range(100)}

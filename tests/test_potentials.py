@@ -24,8 +24,6 @@ from gsaudit.potentials import (
     energy_gradient_of_points,
     lennard_jones,
     log_coulomb,
-    pair_energy,
-    radial_derivative,
     riesz,
     search_energy_of_points,
     total_energy,
@@ -39,6 +37,31 @@ TETRAHEDRON = np.array(
 TETRAHEDRON_EDGE = math.sqrt(8.0 / 3.0)
 
 ANTIPODAL = Configuration(sphere(), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+
+
+def pair_formula(pot, r):
+    """(U(r), U'(r)) written from the kernel formulas, independent of the engine."""
+    if pot.kind == "log":
+        return -math.log(r), -1.0 / r
+    if pot.kind == "lj":
+        return r ** -12 - r ** -6, 6.0 * r ** -7 - 12.0 * r ** -13
+    s = pot.exponent
+    sign = -math.copysign(1.0, s)
+    return sign * r ** s, sign * s * r ** (s - 1.0)
+
+
+def two_points(r):
+    return np.array([[0.0, 0.0, 0.0], [r, 0.0, 0.0]])
+
+
+def engine_energy(pot, r):
+    """The engine's energy of two free3 points r apart."""
+    return total_energy_of_points(two_points(r), free3(), pot)
+
+
+def engine_derivative(pot, r):
+    """The engine's U'(r) for two free3 points r apart: minus the first point's x-gradient."""
+    return -energy_gradient_of_points(two_points(r), free3(), pot)[0, 0]
 
 
 class TestPotentialSpec:
@@ -67,54 +90,50 @@ class TestPotentialSpec:
 
 class TestPairEnergy:
     def test_log_at_one(self):
-        assert pair_energy(log_coulomb(), 1.0) == 0.0
+        assert engine_energy(log_coulomb(), 1.0) == 0.0
 
     def test_inverse_r_at_two(self):
-        assert pair_energy(riesz(-1.0), 2.0) == 0.5
+        assert engine_energy(riesz(-1.0), 2.0) == 0.5
 
     def test_negative_distance_kernel(self):
         # s = 1 gives -r: large separations are favored
-        assert pair_energy(riesz(1.0), 3.0) == -3.0
+        assert engine_energy(riesz(1.0), 3.0) == -3.0
 
     def test_lj_minimum(self):
         r_star = 2.0 ** (1.0 / 6.0)
-        assert pair_energy(lennard_jones(), r_star) == pytest.approx(-0.25, abs=1e-15)
+        assert engine_energy(lennard_jones(), r_star) == pytest.approx(-0.25, abs=1e-15)
 
     def test_zero_separation(self):
-        assert pair_energy(log_coulomb(), 0.0) == math.inf
-        assert pair_energy(riesz(-1.0), 0.0) == math.inf
-        assert pair_energy(coulomb(4), 0.0) == math.inf
-        assert pair_energy(lennard_jones(), 0.0) == math.inf
+        assert engine_energy(log_coulomb(), 0.0) == math.inf
+        assert engine_energy(riesz(-1.0), 0.0) == math.inf
+        assert engine_energy(coulomb(4), 0.0) == math.inf
+        assert engine_energy(lennard_jones(), 0.0) == math.inf
         # continuity limit of the positive-exponent branch
-        assert pair_energy(riesz(0.5), 0.0) == 0.0
-
-    def test_negative_separation_rejected(self):
-        with pytest.raises(ValueError):
-            pair_energy(log_coulomb(), -1.0)
+        assert engine_energy(riesz(0.5), 0.0) == 0.0
 
     def test_lj_overflow_is_infinite(self):
-        assert pair_energy(lennard_jones(), 1e-60) == math.inf
+        assert engine_energy(lennard_jones(), 1e-60) == math.inf
 
     def test_coulomb_matches_power_law_exactly(self):
         rng = np.random.default_rng(17)
         for dim in (3, 4, 5, 7):
             equivalent = riesz(2.0 - dim)
             for r in rng.uniform(0.05, 3.0, size=40):
-                assert pair_energy(coulomb(dim), r) == pair_energy(equivalent, r)
+                assert engine_energy(coulomb(dim), r) == engine_energy(equivalent, r)
 
     def test_log_is_the_small_exponent_limit(self):
         # (r^-s - 1)/s -> -ln r as s -> 0+
         s = 1e-6
         for r in np.linspace(0.1, 2.0, 25):
-            approx = (pair_energy(riesz(-s), r) - 1.0) / s
-            assert abs(approx - pair_energy(log_coulomb(), r)) < 1e-5
+            approx = (engine_energy(riesz(-s), r) - 1.0) / s
+            assert abs(approx - engine_energy(log_coulomb(), r)) < 1e-5
 
     def test_radial_derivative_matches_finite_differences(self):
         h = 1e-7
         for pot in (log_coulomb(), riesz(-1.0), riesz(1.5), coulomb(5), lennard_jones()):
             for r in (0.3, 0.9, 1.7):
-                fd = (pair_energy(pot, r + h) - pair_energy(pot, r - h)) / (2 * h)
-                assert radial_derivative(pot, r) == pytest.approx(fd, rel=1e-6)
+                fd = (engine_energy(pot, r + h) - engine_energy(pot, r - h)) / (2 * h)
+                assert engine_derivative(pot, r) == pytest.approx(fd, rel=1e-6)
 
 
 class TestTotalEnergy:
@@ -261,14 +280,14 @@ ENGINE_CASES = [
     ids=[f"{d.kind}-{p.kind}{p.exponent or ''}" for d, p in ENGINE_CASES],
 )
 class TestEngineMatchesScalarKernel:
-    """Energy and gradient agree with a pair-by-pair loop over the scalar kernel,
+    """Energy and gradient agree with a pair-by-pair loop over the kernel formulas,
     and the line-search energy agrees with the exact one."""
 
     def test_energy_is_fsum_of_pair_energies(self, domain, pot):
         config = random_configuration(domain, 9, 31)
         x = embed_points(config.points, domain)
         pairs = [
-            pair_energy(pot, float(np.linalg.norm(x[i] - x[j])))
+            pair_formula(pot, float(np.linalg.norm(x[i] - x[j])))[0]
             for i in range(9) for j in range(i + 1, 9)
         ]
         assert total_energy(config, pot) == pytest.approx(math.fsum(pairs), rel=1e-12)
@@ -306,7 +325,7 @@ class TestEngineMatchesScalarKernel:
             for j in range(9):
                 if i != j:
                     r = float(np.linalg.norm(x[i] - x[j]))
-                    ambient[i] += radial_derivative(pot, r) / r * (x[i] - x[j])
+                    ambient[i] += pair_formula(pot, r)[1] / r * (x[i] - x[j])
         expected = tangent_project_points(config.points, ambient, domain)
         grad = energy_gradient(config, pot)
         for got, want in zip(grad, expected):
