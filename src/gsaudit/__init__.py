@@ -13,7 +13,6 @@ from .geometry import (
     Configuration,
     DomainSpec,
     StepTooLargeError,
-    chordal_distance,
     free3,
     random_configuration,
     sphere,
@@ -66,7 +65,6 @@ __all__ = [
     "Violation",
     "brute_force_monotonicity_check",
     "build_table",
-    "chordal_distance",
     "compute_b_coefficient",
     "coulomb",
     "energy_gradient",

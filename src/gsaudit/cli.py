@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -103,6 +104,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     pot = parse_potential_token(args.potential)
     counts = parse_n_range(args.n)
     settings = OptimizerSettings(restarts=args.restarts, seed=args.seed)
+    # Fail before the optimization, not after it.
+    folder = Path(args.out).parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write into directory {str(folder)!r}")
     table = build_table(domain, pot, counts, settings)
     write_table(table, args.out)
     print(f"wrote {len(table.entries)} rows to {args.out}")

@@ -131,12 +131,6 @@ def embed_points(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
     return np.column_stack((ring * np.cos(phi), ring * np.sin(phi), np.sin(theta)))
 
 
-def chordal_distance(p: np.ndarray, q: np.ndarray, domain: DomainSpec) -> float:
-    """Euclidean distance between the embedded images of two points."""
-    a, b = embed_points(np.array([p, q], dtype=float), domain)
-    return float(np.linalg.norm(a - b))
-
-
 def surface_normals(points: np.ndarray, domain: DomainSpec) -> np.ndarray | None:
     """Outward unit normals of the embedded surface at each point (None for free3)."""
     pts = np.asarray(points, dtype=float)

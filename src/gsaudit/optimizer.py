@@ -10,9 +10,11 @@ the accepted tangent step and y the change in the tangent gradient across it,
 clamped to between 1e-3 and 1e3 times the accepted step.  When s.y <= 0 or
 the BB step is not finite, the accepted step grows by 1.2 instead.
 
-Line-search comparisons use the fast uncompensated energy
-(:func:`search_energy_of_points`).  The reported energy is the exactly
-rounded sum, evaluated once on the returned configuration.
+Each trial point costs one engine walk, :func:`energy_gradient_of_points`,
+which gives the fast uncompensated line-search energy and the gradient
+together; a trial whose energy does not strictly decrease, or whose gradient
+is not finite, halves the step.  The reported energy is the exactly rounded
+sum, evaluated once on the returned configuration.
 
 Restart r of a multistart run draws its starting configuration from a seed
 derived as SeedSequence(seed, spawn_key=r), so results are independent of
@@ -41,7 +43,6 @@ from .potentials import (
     CoincidentPointsError,
     PotentialSpec,
     energy_gradient_of_points,
-    search_energy_of_points,
     total_energy_of_points,
 )
 
@@ -128,13 +129,12 @@ def local_minimize(
     if c0.n_points < 2:
         raise ValueError("minimization needs at least two points")
     x = c0.points.copy()
-    energy = search_energy_of_points(x, domain, pot)
-    if not np.isfinite(energy):
-        raise CoincidentPointsError("start configuration has coincident points")
+    energy, grad = energy_gradient_of_points(x, domain, pot)
+    if not (math.isfinite(energy) and np.isfinite(grad).all()):
+        raise CoincidentPointsError("start configuration has coincident or too close points")
     max_iter, step = settings.resolved(c0.n_points)
     torus_cap = MAX_TORUS_STEP * 0.99 if domain.kind == TORUS else None
     trace = [energy]
-    grad = energy_gradient_of_points(x, domain, pot)
     gnorm = _max_row_norm(grad)
     for _ in range(max_iter):
         if gnorm < settings.gradient_tolerance:
@@ -146,15 +146,14 @@ def local_minimize(
                 step *= 0.5
                 continue
             x_new = retract_points(x, -step * grad, domain)
-            e_new = search_energy_of_points(x_new, domain, pot)
-            if e_new < energy:
+            e_new, grad_new = energy_gradient_of_points(x_new, domain, pot)
+            if e_new < energy and np.isfinite(grad_new).all():
                 break
             step *= 0.5
         if step < _MIN_STEP:
             break
         x, energy = x_new, e_new
         trace.append(energy)
-        grad_new = energy_gradient_of_points(x, domain, pot)
         s = -step * grad
         y = grad_new - grad
         sy = float(np.einsum("ij,ij->", s, y))

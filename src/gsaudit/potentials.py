@@ -13,13 +13,14 @@ reference energies reproduce and permuting the point list cannot change the
 result.  It is summed without one Python float per pair: error-free
 extraction (Rump, Ogita & Oishi 2008) splits each block's energies into a
 few floats with the same exact sum, and one ``math.fsum`` over those rounds
-the total.  The line search compares energies from
-:func:`search_energy_of_points`, an uncompensated ``np.sum`` over the same
-blocks of pair energies that agrees to roundoff.  Each kernel's value is
-written once, in ``_energy_kernel``, and its derivative once, in
-``_gradient_kernel``.  At r2 = 0 the kernel takes its limit: a coincident
+the total.  The line search takes its energy and the gradient together from
+:func:`energy_gradient_of_points`, one walk over the pair blocks: the energy
+is an uncompensated ``np.sum`` over the same pair energies that agrees to
+roundoff.  Each kernel's value and derivative are written once, in
+``_kernel``; the power law makes one power per pair, since
+U'(r)/r = s U / r^2.  At r2 = 0 the kernel takes its limit: a coincident
 pair's energy is +inf, or 0 for the power law with 0 < s < 2, and its
-gradient is not finite, so the gradient refuses it.
+gradient is not finite, so :func:`energy_gradient` refuses it.
 Evaluation is O(N^2) per call, which is fine at the desk scales this package
 targets.  It runs over blocks of rows of the pair matrix, each from its own
 diagonal on, so its memory is O(N) and no (N, N) array is ever formed.  Only
@@ -102,38 +103,37 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
-def _energy_kernel(pot: PotentialSpec, r2: np.ndarray) -> np.ndarray:
-    """U(r) at squared separations r2 >= 0.
+def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U(r) and U'(r)/r at squared separations r2 >= 0, as ``(u, w)``.
 
-    The one place where each kernel's value is written.  At r2 = 0 the math
-    gives the kernel's limit: +inf, or -0.0 for the power law with 0 < s < 2.
-    Callers silence the divide and overflow warnings on the way.
+    The one place where each kernel's value and derivative are written.  U
+    goes into the buffer u and the weight w over r2 itself.  At r2 = 0 the
+    math gives the kernel's limit: U is +inf, or -0.0 for the power law with
+    0 < s < 2, and w is +-inf or nan.  Callers silence the divide, overflow
+    and invalid warnings on the way.
     """
     if pot.kind == LOG:
-        return -0.5 * np.log(r2)
-    if pot.kind == LENNARD_JONES:
+        np.log(r2, out=u)
+        u *= -0.5
+        np.divide(-1.0, r2, out=r2)
+    elif pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
         inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
-        return inv6 * inv6 - inv6
-    # For s below about -1.9, r^s overflows at the tiniest r2; +inf is then
-    # the energy of the pair.
-    s = pot.exponent
-    return -math.copysign(1.0, s) * r2 ** (0.5 * s)
-
-
-def _gradient_kernel(pot: PotentialSpec, r2: np.ndarray) -> np.ndarray:
-    """U'(r)/r at squared separations r2; +-inf or nan at r2 = 0.
-
-    The one place where each kernel's derivative is written.
-    """
-    if pot.kind == LOG:
-        return -1.0 / r2
-    if pot.kind == LENNARD_JONES:
-        inv6 = r2 ** -3.0
-        return (6.0 * inv6 - 12.0 * inv6 * inv6) / r2
-    s = pot.exponent
-    return -abs(s) * r2 ** (0.5 * s - 1.0)
+        inv12 = inv6 * inv6
+        np.subtract(inv12, inv6, out=u)
+        np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
+    else:
+        # For s below about -1.9, r^s overflows at the tiniest r2; +inf is
+        # then the energy of the pair.  U'(r)/r = s U / r2 takes no second
+        # power.
+        s = pot.exponent
+        np.power(r2, 0.5 * s, out=u)
+        if s > 0.0:
+            np.negative(u, out=u)
+        np.divide(u, r2, out=r2)
+        r2 *= s
+    return u, r2
 
 
 # Size of one block of the pair matrix, in elements: a (rows, N) float64 slab
@@ -144,17 +144,17 @@ def _gradient_kernel(pot: PotentialSpec, r2: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _separation_blocks(x: np.ndarray):
-    """Squared distances from the rows of x to themselves and later rows.
+def _pair_blocks(x: np.ndarray, pot: PotentialSpec):
+    """Kernel values and weights of the pairs of each row of x with itself and later rows.
 
-    Yields ``(a, r2)`` for consecutive row blocks a <= i < a + len(r2), where
-    ``r2[k, j]`` is the squared distance from row a + k to row a + j.  The
-    block's leading square holds its own rows' pairs in both directions; the
-    columns right of it hold each pair with a later row once.  Each distance
+    Yields ``(a, u, w)`` for consecutive row blocks a <= i < a + len(u), where
+    ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the squared distance
+    from row a + k to row a + j, with the diagonal zeroed.  The block's
+    leading square holds its own rows' pairs in both directions; the columns
+    right of it hold each pair with a later row once.  Each squared distance
     is built from direct differences one coordinate at a time, so the square
-    is exactly symmetric with an exactly zero diagonal, and a pair of
-    identical rows gives an exact zero.  ``r2`` is a reused buffer, valid
-    until the next block is drawn.
+    is exactly symmetric, and a pair of identical rows gives an exact zero.
+    ``u`` and ``w`` are reused buffers, valid until the next block is drawn.
     """
     n = x.shape[0]
     rows = max(1, min(n, _BLOCK_ELEMENTS // n))
@@ -170,7 +170,11 @@ def _separation_blocks(x: np.ndarray):
             np.subtract(col[a : a + m, None], col[a:], out=d)
             d *= d
             r2 += d
-        yield a, r2
+        np.fill_diagonal(r2, 1.0)
+        u, w = _kernel(pot, r2, d)
+        np.fill_diagonal(u, 0.0)
+        np.fill_diagonal(w, 0.0)
+        yield a, u, w
 
 
 def _exact_sum_terms(u: np.ndarray) -> list[float]:
@@ -201,22 +205,12 @@ def _exact_sum_terms(u: np.ndarray) -> list[float]:
         u -= h
 
 
-def _energy_blocks(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec):
-    """Pair energies over the row blocks of :func:`_separation_blocks`.
-
-    Yields ``(m, u)`` for each block of m rows, where u holds the kernel at
-    the block's r2 with its diagonal zeroed: the leading (m, m) square has the
-    block's own pairs in both directions, the columns right of it each pair
-    with a later row once.  ``u`` is valid until the next block is drawn.
-    """
+def _embedded(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> np.ndarray:
+    """Ambient coordinates of at least two points, for a supported kernel."""
     validate_domain_potential(domain, pot)
     if points.shape[0] < 2:
-        raise ValueError("energy needs at least two points")
-    for _, r2 in _separation_blocks(embed_points(points, domain)):
-        np.fill_diagonal(r2, 1.0)
-        u = _energy_kernel(pot, r2)
-        np.fill_diagonal(u, 0.0)
-        yield r2.shape[0], u
+        raise ValueError("pair energies need at least two points")
+    return embed_points(points, domain)
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
@@ -227,10 +221,11 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     vanishes at r = 0, where the pair adds 0.
     """
     terms = []
-    with np.errstate(divide="ignore", over="ignore"):
-        for m, u in _energy_blocks(points, domain, pot):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _, u, _ in _pair_blocks(_embedded(points, domain, pot), pot):
             # Of the block's leading square only the pairs right of the
             # diagonal count.
+            m = u.shape[0]
             u[:, :m][np.tri(m, dtype=bool)] = 0.0
             terms += _exact_sum_terms(u)
     try:
@@ -240,24 +235,6 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
         # Lennard-Jones or power-law cluster at tiny separations, whose total
         # is +inf.
         return math.inf
-
-
-def search_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
-    """Fast total pair energy for line-search comparisons; may be +inf.
-
-    Equals :func:`total_energy_of_points` up to roundoff, coincident pairs
-    included, but adds plain ``np.sum`` totals of row blocks instead of
-    rounding the exact sum.  The sum is a deterministic function of the
-    points.  No reported energy comes from it.
-    """
-    total = 0.0
-    # Finite pair energies at tiny separations (Lennard-Jones, or a power law
-    # with s < 0) can sum past the largest float: the total is +inf.
-    with np.errstate(divide="ignore", over="ignore"):
-        for m, u in _energy_blocks(points, domain, pot):
-            # The block's leading square holds each of its pairs twice.
-            total += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
-    return total
 
 
 def total_energy(config: Configuration, pot: PotentialSpec) -> float:
@@ -271,32 +248,37 @@ def total_energy(config: Configuration, pot: PotentialSpec) -> float:
 
 def energy_gradient_of_points(
     points: np.ndarray, domain: DomainSpec, pot: PotentialSpec
-) -> np.ndarray:
-    """Tangent gradient for an (N, k) intrinsic array; see :func:`energy_gradient`."""
-    validate_domain_potential(domain, pot)
-    if points.shape[0] < 2:
-        raise ValueError("gradient needs at least two points")
-    x = embed_points(points, domain)
+) -> tuple[float, np.ndarray]:
+    """Line-search energy and tangent gradient of an (N, k) intrinsic array.
+
+    Both come from one walk over the pair blocks.  The energy equals
+    :func:`total_energy_of_points` up to roundoff, coincident pairs included,
+    but adds plain ``np.sum`` totals of row blocks instead of rounding the
+    exact sum; it is a deterministic function of the points, may be +inf,
+    and no reported energy comes from it.  The gradient is that of
+    :func:`energy_gradient`, except that it is not finite where two points
+    coincide or a kernel's derivative overflows; nothing here raises on it.
+    """
+    x = _embedded(points, domain, pot)
+    energy = 0.0
     grad = np.zeros_like(x)
-    # A coincident pair has an infinite or nan weight, and at tiny separations
-    # a kernel's derivative overflows; either way the rows it touches become
-    # inf or nan, and one check on the result catches them.
+    # Finite pair energies at tiny separations (Lennard-Jones, or a power law
+    # with s < 0) can sum past the largest float, and there or at a coincident
+    # pair the weights are infinite or nan.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, r2 in _separation_blocks(x):
-            # Each row i of the block takes its pairs with every j >= a; the
-            # columns right of the leading square also give each later row j
-            # its pair with i, which no later block visits.
-            b = a + r2.shape[0]
-            np.fill_diagonal(r2, 1.0)
-            w = _gradient_kernel(pot, r2)
-            np.fill_diagonal(w, 0.0)
+        for a, u, w in _pair_blocks(x, pot):
+            # The block's leading square holds each of its pairs twice.  Each
+            # row i of the block takes its pairs with every j >= a; the
+            # columns right of the square also give each later row j its pair
+            # with i, which no later block visits.
+            m = u.shape[0]
+            b = a + m
+            energy += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
             grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
             if b < len(x):
-                right = w[:, b - a :]
+                right = w[:, m:]
                 grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
-    if not np.isfinite(grad).all():
-        raise CoincidentPointsError("points coincide or are too close: gradient is not finite")
-    return tangent_project_points(points, grad, domain)
+        return energy, tangent_project_points(points, grad, domain)
 
 
 def energy_gradient(config: Configuration, pot: PotentialSpec) -> np.ndarray:
@@ -304,6 +286,10 @@ def energy_gradient(config: Configuration, pot: PotentialSpec) -> np.ndarray:
 
     Row i is the tangent projection of
     sum_{j != i} U'(r_ij) * (x_i - x_j) / r_ij in embedded coordinates.
-    Raises CoincidentPointsError when two points coincide.
+    Raises CoincidentPointsError when two points coincide or are so close
+    that the gradient overflows.
     """
-    return energy_gradient_of_points(config.points, config.domain, pot)
+    grad = energy_gradient_of_points(config.points, config.domain, pot)[1]
+    if not np.isfinite(grad).all():
+        raise CoincidentPointsError("points coincide or are too close: gradient is not finite")
+    return grad

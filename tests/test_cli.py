@@ -384,6 +384,17 @@ def test_output_into_missing_directory_exits_two(command, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_fails_before_the_optimization(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_table ran before the output was checked")
+
+    monkeypatch.setattr("gsaudit.cli.build_table", refuse)
+    rc = main(["optimize", "--domain", "sphere", "--potential", "log", "--n", "2-40",
+               "--restarts", "5", "--out", str(tmp_path / "missing" / "x.tsv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSmallNCheckCommand:
     def test_vacuous_pass(self, capsys):
         rc = main(["prop1-check", "--domain", "sphere", "--potential", "riesz:-1",

@@ -9,7 +9,6 @@ from gsaudit.geometry import (
     Configuration,
     DomainSpec,
     StepTooLargeError,
-    chordal_distance,
     embed_points,
     free3,
     intrinsic_dim,
@@ -22,6 +21,12 @@ from gsaudit.geometry import (
 )
 
 ALL_DOMAINS = [sphere(), torus(1.414), free3()]
+
+
+def chordal_distance(p, q, domain):
+    """Euclidean distance between the embedded images of two points."""
+    a, b = embed_points(np.array([p, q], dtype=float), domain)
+    return float(np.linalg.norm(a - b))
 
 
 def random_rotation(rng):

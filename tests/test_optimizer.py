@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsaudit import optimizer
 from gsaudit.audit import monotonicity_audit
 from gsaudit.geometry import Configuration, free3, random_configuration, sphere, surface_normals, torus
 from gsaudit.optimizer import (
@@ -99,10 +100,63 @@ class TestLocalMinimize:
         settings = OptimizerSettings(gradient_tolerance=1e-6)
         assert local_minimize(start, log_coulomb(), settings).converged
 
+    def test_log_run_is_pinned(self):
+        # The generator's main path: the energy (by float.hex) and the number
+        # of accepted iterates of one build-log-sphere start.
+        start = random_configuration(sphere(), 53, derived_seed(0, 0))
+        result = local_minimize(start, log_coulomb(), OptimizerSettings(gradient_tolerance=1e-6))
+        assert float.hex(result.energy) == "-0x1.452363594bb89p+8"
+        assert len(result.energy_trace) == 1022
+
+    def test_one_engine_walk_per_trial(self, monkeypatch):
+        calls = {"engine": 0, "exact": 0, "trials": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "energy_gradient_of_points",
+                            counted("engine", optimizer.energy_gradient_of_points))
+        monkeypatch.setattr(optimizer, "total_energy_of_points",
+                            counted("exact", optimizer.total_energy_of_points))
+        # Each trial retracts once.
+        monkeypatch.setattr(optimizer, "retract_points",
+                            counted("trials", optimizer.retract_points))
+        result = local_minimize(
+            random_configuration(sphere(), 12, 9), log_coulomb(), OptimizerSettings()
+        )
+        assert calls["trials"] >= len(result.energy_trace) - 1 > 0
+        assert calls["engine"] == 1 + calls["trials"]
+        assert calls["exact"] == 1
+
+    def test_trial_with_non_finite_gradient_halves_the_step(self, monkeypatch):
+        engine = optimizer.energy_gradient_of_points
+        calls = []
+
+        def first_trial_broken(points, domain, pot):
+            calls.append(points)
+            energy, grad = engine(points, domain, pot)
+            if len(calls) == 2:
+                return energy - 1.0, np.full_like(grad, np.nan)
+            return energy, grad
+
+        monkeypatch.setattr(optimizer, "energy_gradient_of_points", first_trial_broken)
+        start = random_configuration(sphere(), 6, 5)
+        result = local_minimize(start, INVERSE_R, OptimizerSettings())
+        trace = np.array(result.energy_trace)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) < 0.0)
+        assert trace[1] > trace[0] - 1.0
+        assert result.converged
+
     def test_coincident_start_rejected(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         with pytest.raises(CoincidentPointsError):
             local_minimize(Configuration(sphere(), pts), INVERSE_R, OptimizerSettings())
+        # The energy is finite here, but the gradient is not.
+        with pytest.raises(CoincidentPointsError):
+            local_minimize(Configuration(sphere(), pts), riesz(1.0), OptimizerSettings())
 
     def test_result_satisfies_domain_invariants(self):
         for domain in (sphere(), torus(1.414)):

@@ -25,7 +25,6 @@ from gsaudit.potentials import (
     lennard_jones,
     log_coulomb,
     riesz,
-    search_energy_of_points,
     total_energy,
     total_energy_of_points,
     validate_domain_potential,
@@ -61,7 +60,7 @@ def engine_energy(pot, r):
 
 def engine_derivative(pot, r):
     """The engine's U'(r) for two free3 points r apart: minus the first point's x-gradient."""
-    return -energy_gradient_of_points(two_points(r), free3(), pot)[0, 0]
+    return -energy_gradient_of_points(two_points(r), free3(), pot)[1][0, 0]
 
 
 class TestPotentialSpec:
@@ -163,7 +162,7 @@ class TestTotalEnergy:
     def test_lj_cluster_overflow_is_infinite(self, size):
         points = np.vstack([np.zeros(3), size * np.eye(3)])
         assert total_energy_of_points(points, free3(), lennard_jones()) == math.inf
-        assert search_energy_of_points(points, free3(), lennard_jones()) == math.inf
+        assert energy_gradient_of_points(points, free3(), lennard_jones())[0] == math.inf
 
     def test_coincident_points_give_infinity(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -243,9 +242,11 @@ class TestEnergyGradient:
     def test_overflowing_cluster(self, pot, size):
         points = np.vstack([np.zeros(3), size * np.eye(3)])
         assert total_energy_of_points(points, free3(), pot) == math.inf
-        assert search_energy_of_points(points, free3(), pot) == math.inf
+        energy, grad = energy_gradient_of_points(points, free3(), pot)
+        assert energy == math.inf
+        assert not np.isfinite(grad).all()
         with pytest.raises(CoincidentPointsError):
-            energy_gradient_of_points(points, free3(), pot)
+            energy_gradient(Configuration(free3(), points), pot)
 
     def test_gradient_rows_are_tangent(self):
         for domain in (sphere(), torus(1.414)):
@@ -281,7 +282,7 @@ ENGINE_CASES = [
 )
 class TestEngineMatchesScalarKernel:
     """Energy and gradient agree with a pair-by-pair loop over the kernel formulas,
-    and the line-search energy agrees with the exact one."""
+    and the line-search energy of the one-walk engine agrees with the exact one."""
 
     def test_energy_is_fsum_of_pair_energies(self, domain, pot):
         config = random_configuration(domain, 9, 31)
@@ -300,7 +301,8 @@ class TestEngineMatchesScalarKernel:
             for j in range(i + 1, 9):
                 d = x[i] - x[j]
                 r2.append(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        want = math.fsum(potentials._energy_kernel(pot, np.array(r2)).tolist())
+        u, _ = potentials._kernel(pot, np.array(r2), np.empty(len(r2)))
+        want = math.fsum(u.tolist())
         assert total_energy_of_points(points, domain, pot) == want
         monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
         assert total_energy_of_points(points, domain, pot) == want
@@ -308,14 +310,19 @@ class TestEngineMatchesScalarKernel:
     def test_search_energy_matches_total_energy(self, domain, pot):
         points = random_configuration(domain, 9, 33).points
         exact = total_energy_of_points(points, domain, pot)
-        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
+        energy, _ = energy_gradient_of_points(points, domain, pot)
+        assert energy == pytest.approx(exact, rel=1e-12)
 
     def test_search_energy_with_coincident_points(self, domain, pot):
         points = random_configuration(domain, 7, 34).points
         points[5] = points[2]
         exact = total_energy_of_points(points, domain, pot)
         assert math.isfinite(exact) == (pot.kind == "riesz" and pot.exponent > 0.0)
-        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
+        energy, grad = energy_gradient_of_points(points, domain, pot)
+        assert energy == pytest.approx(exact, rel=1e-12)
+        assert not np.isfinite(grad).all()
+        with pytest.raises(CoincidentPointsError):
+            energy_gradient(Configuration(domain, points), pot)
 
     def test_gradient_rows_match_pair_sum(self, domain, pot):
         config = random_configuration(domain, 9, 32)
@@ -335,14 +342,15 @@ class TestEngineMatchesScalarKernel:
         points = random_configuration(domain, 9, 35).points
         whole = [
             total_energy_of_points(points, domain, pot),
-            search_energy_of_points(points, domain, pot),
-            energy_gradient_of_points(points, domain, pot),
+            *energy_gradient_of_points(points, domain, pot),
         ]
+        assert whole[1] == pytest.approx(whole[0], rel=1e-12)
         # Two rows per block: four blocks of two and a last block of one.
         monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
         assert total_energy_of_points(points, domain, pot) == whole[0]
-        assert search_energy_of_points(points, domain, pot) == pytest.approx(whole[1], rel=1e-12)
-        grad = energy_gradient_of_points(points, domain, pot)
+        energy, grad = energy_gradient_of_points(points, domain, pot)
+        assert energy == pytest.approx(whole[0], rel=1e-12)
+        assert energy == pytest.approx(whole[1], rel=1e-12)
         for got, want in zip(grad, whole[2]):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -352,9 +360,11 @@ class TestEngineMatchesScalarKernel:
         exact = total_energy_of_points(points, domain, pot)
         monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
         assert total_energy_of_points(points, domain, pot) == exact
-        assert search_energy_of_points(points, domain, pot) == pytest.approx(exact, rel=1e-12)
+        energy, grad = energy_gradient_of_points(points, domain, pot)
+        assert energy == pytest.approx(exact, rel=1e-12)
+        assert not np.isfinite(grad).all()
         with pytest.raises(CoincidentPointsError):
-            energy_gradient_of_points(points, domain, pot)
+            energy_gradient(Configuration(domain, points), pot)
 
 
 @pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
@@ -363,7 +373,7 @@ def test_duplicated_point_in_general_position_rejected(domain):
     points[4] = points[1]
     assert np.all(np.abs(embed_points(points, domain)[1]) > 1e-3)
     with pytest.raises(CoincidentPointsError):
-        energy_gradient_of_points(points, domain, riesz(-1.0))
+        energy_gradient(Configuration(domain, points), riesz(-1.0))
 
 
 def assert_exact_sum_is_fsum(values):
