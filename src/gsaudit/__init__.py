@@ -44,7 +44,6 @@ from .asymptotics import (
     log_sphere_model,
     model_energy,
     pair_specific_model,
-    residuals,
     thomson_sphere_model,
     zeta_alternating,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "pair_specific_model",
     "parse_table",
     "random_configuration",
-    "residuals",
     "riesz",
     "sphere",
     "table_digest",

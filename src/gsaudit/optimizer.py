@@ -32,10 +32,9 @@ import numpy as np
 
 from .table import EnergyTable, TableMetadata
 from .geometry import (
-    TORUS,
-    MAX_TORUS_STEP,
     Configuration,
     DomainSpec,
+    StepTooLargeError,
     random_configuration,
     retract_points,
 )
@@ -133,7 +132,6 @@ def local_minimize(
     if not (math.isfinite(energy) and np.isfinite(grad).all()):
         raise CoincidentPointsError("start configuration has coincident or too close points")
     max_iter, step = settings.resolved(c0.n_points)
-    torus_cap = MAX_TORUS_STEP * 0.99 if domain.kind == TORUS else None
     trace = [energy]
     gnorm = _max_row_norm(grad)
     for _ in range(max_iter):
@@ -142,10 +140,11 @@ def local_minimize(
         while True:
             if step < _MIN_STEP:
                 break
-            if torus_cap is not None and step * gnorm >= torus_cap:
+            try:
+                x_new = retract_points(x, -step * grad, domain)
+            except StepTooLargeError:
                 step *= 0.5
                 continue
-            x_new = retract_points(x, -step * grad, domain)
             e_new, grad_new = energy_gradient_of_points(x_new, domain, pot)
             if e_new < energy and np.isfinite(grad_new).all():
                 break

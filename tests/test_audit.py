@@ -255,14 +255,14 @@ class TestBruteForceSmallN:
     def test_n_max_two_is_vacuous(self):
         settings = OptimizerSettings(restarts=200, seed=0)
         report = brute_force_monotonicity_check(sphere(), riesz(-1.0), 2, settings)
-        assert report.passed
+        assert report.eps_strictly_increasing
         assert len(report.rows) == 1
         assert report.rows[0].energy == pytest.approx(0.5, abs=1e-9)
 
     def test_inverse_r_up_to_three(self):
         settings = OptimizerSettings(restarts=300, seed=1)
         report = brute_force_monotonicity_check(sphere(), riesz(-1.0), 3, settings)
-        assert report.passed
+        assert report.eps_strictly_increasing
         eps = [r.pair_specific for r in report.rows]
         assert eps[0] == pytest.approx(0.25, abs=1e-9)
         assert eps[1] == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-9)
@@ -270,7 +270,7 @@ class TestBruteForceSmallN:
     def test_log_kernel_step_bound(self):
         settings = OptimizerSettings(restarts=300, seed=2)
         report = brute_force_monotonicity_check(sphere(), log_coulomb(), 3, settings)
-        assert report.passed
+        assert report.eps_strictly_increasing
         assert report.rows[0].pair_specific == pytest.approx(-math.log(2.0) / 2.0, abs=1e-9)
-        # the sharper per-step floor: E(3) >= 3 * E(2) = -3 ln 2
+        # the same law in its per-step form: E(3) >= 3 * E(2) = -3 ln 2
         assert report.rows[1].energy >= 3.0 * report.rows[0].energy

@@ -384,13 +384,14 @@ def test_output_into_missing_directory_exits_two(command, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unwritable_output_fails_before_the_optimization(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", ["missing/x.tsv", ""], ids=["into-missing-dir", "is-a-dir"])
+def test_unwritable_output_fails_before_the_optimization(out, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_table ran before the output was checked")
 
     monkeypatch.setattr("gsaudit.cli.build_table", refuse)
     rc = main(["optimize", "--domain", "sphere", "--potential", "log", "--n", "2-40",
-               "--restarts", "5", "--out", str(tmp_path / "missing" / "x.tsv")])
+               "--restarts", "5", "--out", str(tmp_path / out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
@@ -428,6 +429,16 @@ def test_package_import_leaves_the_cli_unloaded():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_export_list_is_importable():
+    import gsaudit
+
+    missing = [name for name in gsaudit.__all__ if not hasattr(gsaudit, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from gsaudit import *", namespace)
+    assert set(gsaudit.__all__) <= set(namespace)
 
 
 def test_module_entry_point():
