@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from gsaudit import fixture_path
+from gsaudit import asymptotics, fixture_path
 from gsaudit.asymptotics import (
     A_LOG_SPHERE,
+    LOG_SPHERE,
+    THOMSON_SPHERE,
     AsymptoticModel,
     check_model_compatibility,
     compute_b_coefficient,
@@ -22,6 +24,9 @@ from gsaudit.potentials import coulomb, log_coulomb, riesz
 # b = 3 sqrt(sqrt(3)/(8 pi)) zeta(1/2) (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
 # the k-sum written with Hurwitz zeta values, evaluated at 30 digits with mpmath.
 B_CLOSED_FORM = -0.5530512933575952
+
+# |prefactor * zeta(1/2)|: maps a k-sum error bound onto the b coefficient
+_B_ERROR_PER_KSUM_ERROR = 1.16
 
 
 def zeta_direct_summation(s: float, terms: int = 4000) -> float:
@@ -59,6 +64,13 @@ class TestBCoefficient:
 
     def test_closed_form(self):
         assert compute_b_coefficient() == pytest.approx(B_CLOSED_FORM, abs=1e-8)
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-5, 1e-6])
+    def test_truncation_error_within_tolerance(self, tolerance, monkeypatch):
+        # The k-sum's truncation rule keeps its error below the tolerance it is given.
+        monkeypatch.setattr(asymptotics, "_K_SUM_TOLERANCE", tolerance)
+        error = abs(compute_b_coefficient() - B_CLOSED_FORM)
+        assert error < _B_ERROR_PER_KSUM_ERROR * tolerance
 
 
 class TestModels:
@@ -101,6 +113,17 @@ class TestModels:
             assert pair_specific_model(m, n) * (n * (n - 1)) == pytest.approx(
                 model_energy(m, n), rel=1e-15
             )
+
+    def test_linear_in_each_coefficient(self):
+        n = 123
+        for family in (LOG_SPHERE, THOMSON_SPHERE):
+            base = model_energy(AsymptoticModel(family, a=0.5, b=-0.55), n)
+            for a_step, b_step in ((0.3, 0.0), (0.0, 0.3)):
+                one = model_energy(AsymptoticModel(family, a=0.5 + a_step, b=-0.55 + b_step), n)
+                two = model_energy(
+                    AsymptoticModel(family, a=0.5 + 2 * a_step, b=-0.55 + 2 * b_step), n
+                )
+                assert two - base == pytest.approx(2.0 * (one - base), rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

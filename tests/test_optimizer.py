@@ -5,7 +5,15 @@ import pytest
 
 from gsaudit import optimizer
 from gsaudit.audit import monotonicity_audit
-from gsaudit.geometry import Configuration, free3, random_configuration, sphere, surface_normals, torus
+from gsaudit.geometry import (
+    Configuration,
+    StepTooLargeError,
+    free3,
+    random_configuration,
+    sphere,
+    surface_normals,
+    torus,
+)
 from gsaudit.optimizer import (
     OptimizerSettings,
     build_table,
@@ -148,6 +156,23 @@ class TestLocalMinimize:
         trace = np.array(result.energy_trace)
         assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) < 0.0)
         assert trace[1] > trace[0] - 1.0
+        assert result.converged
+
+    def test_step_too_large_for_the_torus_halves_the_step(self, monkeypatch):
+        retract = optimizer.retract_points
+        tangents = []
+
+        def first_trial_too_large(points, steps, domain):
+            tangents.append(steps)
+            if len(tangents) == 1:
+                raise StepTooLargeError("step exceeds the torus limit")
+            return retract(points, steps, domain)
+
+        monkeypatch.setattr(optimizer, "retract_points", first_trial_too_large)
+        start = random_configuration(torus(1.414), 6, 5)
+        result = local_minimize(start, INVERSE_R, OptimizerSettings())
+        assert np.array_equal(tangents[1], 0.5 * tangents[0])
+        assert len(result.energy_trace) > 1
         assert result.converged
 
     def test_coincident_start_rejected(self):
