@@ -3,7 +3,8 @@
 The library has three legs: a monotonicity audit that certifies non-minimal
 entries in tables of putative N-body ground-state energies and derives
 sharper upper bounds from the remaining rows; a multistart Riemannian
-projected-gradient optimizer that produces such tables for log, power-law,
+descent (Barzilai-Borwein steps, then L-BFGS from a run's first rejected
+line-search trial) that produces such tables for log, power-law,
 Coulomb, and Lennard-Jones pair interactions on the unit sphere, an embedded
 torus, or free 3-space; and large-N asymptotic models to compare tables
 against.  The ``gsaudit`` command line exposes all three.

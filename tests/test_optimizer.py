@@ -10,10 +10,12 @@ from gsaudit.geometry import (
     StepTooLargeError,
     free3,
     random_configuration,
+    retract_points,
     sphere,
     surface_normals,
     torus,
 )
+from gsaudit.table import format_table
 from gsaudit.optimizer import (
     OptimizerSettings,
     build_table,
@@ -24,6 +26,7 @@ from gsaudit.optimizer import (
 from gsaudit.potentials import (
     CoincidentPointsError,
     energy_gradient,
+    energy_gradient_of_points,
     lennard_jones,
     log_coulomb,
     riesz,
@@ -36,6 +39,51 @@ INVERSE_R = riesz(-1.0)
 E2 = 0.5
 E3 = math.sqrt(3.0)
 E4 = 6.0 / math.sqrt(8.0 / 3.0)
+
+
+def bb1_oracle(c0, pot, max_iter):
+    """The BB1 descent alone, as every run takes it until its first rejected trial.
+
+    Returns the accepted line-search energies, the final points and the
+    iteration of the first rejected trial (None if there was none).
+    """
+    domain = c0.domain
+    x = c0.points.copy()
+    energy, grad = energy_gradient_of_points(x, domain, pot)
+    step = 0.1 / c0.n_points
+    trace, first_rejection = [energy], None
+    for iteration in range(max_iter):
+        while True:
+            try:
+                x_new = retract_points(x, -step * grad, domain)
+            except StepTooLargeError:
+                step *= 0.5
+                continue
+            e_new, grad_new = energy_gradient_of_points(x_new, domain, pot)
+            if e_new < energy and np.isfinite(grad_new).all():
+                break
+            step *= 0.5
+            if first_rejection is None:
+                first_rejection = iteration
+        x, energy = x_new, e_new
+        trace.append(energy)
+        s = -step * grad
+        y = grad_new - grad
+        sy = float(np.einsum("ij,ij->", s, y))
+        bb = float(np.einsum("ij,ij->", s, s)) / sy if sy > 0.0 else math.inf
+        step = min(max(bb, 1e-3 * step), 1e3 * step) if math.isfinite(bb) else 1.2 * step
+        grad = grad_new
+    return trace, x, first_rejection
+
+
+def dense_bfgs_inverse(pairs, dim):
+    """The inverse-Hessian matrix of BFGS from H0 = s.y / y.y of the newest pair."""
+    _, y, sy = pairs[-1]
+    h = sy / float(y @ y) * np.eye(dim)
+    for s, y, sy in pairs:
+        v = np.eye(dim) - np.outer(y, s) / sy
+        h = v.T @ h @ v + np.outer(s, s) / sy
+    return h
 
 
 class TestSettings:
@@ -113,8 +161,83 @@ class TestLocalMinimize:
         # of accepted iterates of one build-log-sphere start.
         start = random_configuration(sphere(), 53, derived_seed(0, 0))
         result = local_minimize(start, log_coulomb(), OptimizerSettings(gradient_tolerance=1e-6))
-        assert float.hex(result.energy) == "-0x1.452363594bb89p+8"
-        assert len(result.energy_trace) == 1022
+        assert float.hex(result.energy) == "-0x1.452363595641fp+8"
+        assert len(result.energy_trace) == 168
+
+    @pytest.mark.parametrize(
+        "domain, n, steps", [(sphere(), 200, 6), (torus(3.0), 64, 12)]
+    )
+    def test_bb1_phase_without_rejections_is_unchanged(self, domain, n, steps):
+        # A relax-style run: 1/r, a few steps, and no rejected trial, so it
+        # never leaves the BB1 rule.
+        start = random_configuration(domain, n, 0)
+        settings = OptimizerSettings(max_iterations=steps, gradient_tolerance=1e-12)
+        trace, points, first_rejection = bb1_oracle(start, INVERSE_R, steps)
+        assert first_rejection is None
+        result = local_minimize(start, INVERSE_R, settings)
+        assert result.energy_trace == tuple(trace)
+        assert np.array_equal(result.configuration.points, points)
+
+    def test_bb1_phase_lasts_until_the_first_rejected_trial(self):
+        start = random_configuration(sphere(), 64, 0)
+        trace, _, first_rejection = bb1_oracle(start, log_coulomb(), 20)
+        assert first_rejection is not None
+        result = local_minimize(start, log_coulomb(), OptimizerSettings(max_iterations=20))
+        kept = first_rejection + 2
+        assert result.energy_trace[:kept] == tuple(trace[:kept])
+        assert result.energy_trace[kept] != trace[kept]
+
+    @pytest.mark.parametrize("count", [1, 3, optimizer._LBFGS_MEMORY])
+    def test_two_loop_matches_the_dense_bfgs_product(self, count):
+        rng = np.random.default_rng(count)
+        dim = 24
+        a = rng.standard_normal((dim, dim))
+        hessian = a @ a.T + dim * np.eye(dim)
+        pairs = []
+        for _ in range(count):
+            s = rng.standard_normal(dim)
+            y = hessian @ s
+            pairs.append((s, y, float(s @ y)))
+        g = rng.standard_normal(dim)
+        expected = dense_bfgs_inverse(pairs, dim) @ g
+        got = optimizer._two_loop(g, pairs)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "domain, pot", [(sphere(), log_coulomb()), (torus(3.0), INVERSE_R)]
+    )
+    def test_steps_after_the_switch_are_tangent(self, monkeypatch, domain, pot):
+        two_loop, retract = optimizer._two_loop, optimizer.retract_points
+        switched, steps = [], []
+
+        def counted_two_loop(g, pairs):
+            switched.append(len(pairs))
+            return two_loop(g, pairs)
+
+        def captured(points, tangents, dom):
+            if switched:
+                steps.append((points, tangents))
+            return retract(points, tangents, dom)
+
+        monkeypatch.setattr(optimizer, "_two_loop", counted_two_loop)
+        monkeypatch.setattr(optimizer, "retract_points", captured)
+        result = local_minimize(random_configuration(domain, 16, 9), pot, OptimizerSettings())
+        assert result.converged
+        assert len(steps) > 10 and max(switched) == optimizer._LBFGS_MEMORY
+        for points, tangents in steps:
+            normal_part = np.einsum("ij,ij->i", tangents, surface_normals(points, domain))
+            assert np.all(np.abs(normal_part) <= 1e-12 * np.linalg.norm(tangents, axis=1))
+
+    @pytest.mark.parametrize(
+        "domain, pot, n",
+        [(sphere(), log_coulomb(), 7), (sphere(), INVERSE_R, 36), (torus(3.0), INVERSE_R, 23)],
+    )
+    def test_small_n_restarts_converge(self, domain, pot, n):
+        # BB1 steps alone ran most of these restarts to the 50·N iteration
+        # cap without reaching the default tolerance.
+        for r in range(5):
+            start = random_configuration(domain, n, derived_seed(0, r))
+            assert local_minimize(start, pot, OptimizerSettings(), r).converged
 
     def test_one_engine_walk_per_trial(self, monkeypatch):
         calls = {"engine": 0, "exact": 0, "trials": 0}
@@ -259,6 +382,12 @@ class TestBuildTable:
         assert table.metadata.potential == INVERSE_R
         assert "restarts=5" in table.entries[2].label
         assert "seed=9" in table.entries[2].label
+
+    def test_header_names_the_step_rule(self):
+        settings = OptimizerSettings(restarts=2, seed=9)
+        assert settings.digest().endswith(" step=bb1+lbfgs8")
+        table = build_table(sphere(), INVERSE_R, [2], settings)
+        assert f"#source={settings.digest()}\n" in format_table(table)
 
     def test_unconverged_best_restart_warns(self, caplog):
         settings = OptimizerSettings(restarts=2, seed=1, max_iterations=1)
