@@ -17,21 +17,26 @@ the total.  The line search takes its energy and the gradient together from
 :func:`energy_gradient_of_points`, one walk over the pair blocks: the energy
 is an uncompensated ``np.sum`` over the same pair energies that agrees to
 roundoff.  Each kernel's value and derivative are written once, in
-``_kernel``; the power law makes one power per pair, since
-U'(r)/r = s U / r^2.  At r2 = 0 the kernel takes its limit: a coincident
-pair's energy is +inf, or 0 for the power law with 0 < s < 2, and its
-gradient is not finite, so :func:`energy_gradient` refuses it.
-Evaluation is O(N^2) per call, which is fine at the desk scales this package
-targets.  It runs over blocks of rows of the pair matrix, each from its own
-diagonal on, so its memory is O(N) and no (N, N) array is ever formed.  Only
-the pairs among a block's own rows are visited in both directions; the
-gradient applies the weight U'(r)/r of every other pair, visited once, to
-both of its ends.
+``_kernel``; the power law makes one power per pair, or one square root at
+s = -1, since U'(r)/r = s U / r^2.  At r2 = 0 the kernel takes its limit: a
+coincident pair's energy is +inf, or 0 for the power law with 0 < s < 2,
+and its gradient is not finite, so :func:`energy_gradient` refuses it.
+Evaluation is O(N^2) per call.  It runs over blocks of rows of the pair
+matrix, each from its own diagonal on and 512 KB at most, so its memory is
+O(N) and no (N, N) array is ever formed.  Only the pairs among a block's own
+rows are visited in both directions; the gradient applies the weight
+U'(r)/r of every other pair, visited once, to both of its ends.  A walk of
+two or more blocks (N > 256) runs on the calling thread and the helper
+threads of a pool kept for the process, one thread per usable CPU up to
+four; each block's results are reduced in block order, so every result is
+bit for bit the same whatever the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,65 +124,167 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     elif pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
-        inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
+        inv6 = r2 * r2
+        inv6 *= r2
+        np.divide(1.0, inv6, out=inv6)
+        np.minimum(inv6, _LARGEST, out=inv6)
         inv12 = inv6 * inv6
         np.subtract(inv12, inv6, out=u)
         np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
     else:
         # For s below about -1.9, r^s overflows at the tiniest r2; +inf is
         # then the energy of the pair.  U'(r)/r = s U / r2 takes no second
-        # power.
+        # power.  At s = -1 a square root and a division cost about half of
+        # one power.
         s = pot.exponent
-        np.power(r2, 0.5 * s, out=u)
-        if s > 0.0:
-            np.negative(u, out=u)
+        if s == -1.0:
+            np.sqrt(r2, out=u)
+            np.divide(1.0, u, out=u)
+        else:
+            np.power(r2, 0.5 * s, out=u)
+            if s > 0.0:
+                np.negative(u, out=u)
         np.divide(u, r2, out=r2)
         r2 *= s
     return u, r2
 
 
 # Size of one block of the pair matrix, in elements: a (rows, N) float64 slab
-# of 1 MB stays in cache and is reused from the heap.  Whole (N, N) arrays
-# were mapped afresh and page-faulted on every call (33 MB each at N = 2048),
-# so their cost swung with the memory traffic of everything else on the
-# machine.
-_BLOCK_ELEMENTS = 1 << 17
+# of 512 KB stays in cache and is reused from the heap, one pair of slabs per
+# walking thread.  Whole (N, N) arrays were mapped afresh and page-faulted on
+# every call (33 MB each at N = 2048), so their cost swung with the memory
+# traffic of everything else on the machine.
+_BLOCK_ELEMENTS = 1 << 16
+
+# Threads that walk the blocks of one call, the calling thread included: the
+# usable CPUs, at most _MAX_THREADS.
+_MAX_THREADS = 4
+_THREADS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _MAX_THREADS,
+)
+
+# The helper threads, started by the first walk of two or more blocks on more
+# than one thread and kept for every later walk.
+_pool = None
+_pool_lock = threading.Lock()
 
 
-def _pair_blocks(x: np.ndarray, pot: PotentialSpec):
-    """Kernel values and weights of the pairs of each row of x with itself and later rows.
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
-    Yields ``(a, u, w)`` for consecutive row blocks a <= i < a + len(u), where
-    ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the squared distance
-    from row a + k to row a + j, with the diagonal zeroed.  The block's
-    leading square holds its own rows' pairs in both directions; the columns
-    right of it hold each pair with a later row once.  Each squared distance
-    is built from direct differences one coordinate at a time, so the square
-    is exactly symmetric, and a pair of identical rows gives an exact zero.
-    ``u`` and ``w`` are reused buffers, valid until the next block is drawn.
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _helpers():
+    """The pool of helper threads, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_MAX_THREADS - 1, thread_name_prefix="gsaudit-pairs")
+        return _pool
+
+
+def _pair_block(cols: list, pot: PotentialSpec, a: int, rows: int, buffers: tuple) -> tuple:
+    """Kernel values and weights ``(u, w)`` of up to ``rows`` rows from row a on.
+
+    The block holds the pairs of rows a <= i < a + m, m = min(rows, N - a),
+    with themselves and later rows; ``cols`` holds the coordinate columns of
+    the N points.  ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the
+    squared distance from row a + k to row a + j, with the diagonal zeroed.
+    The block's leading square holds its own rows' pairs in both directions;
+    the columns right of it hold each pair with a later row once.  Each
+    squared distance is built from direct differences one coordinate at a
+    time, so the square is exactly symmetric, and a pair of identical rows
+    gives an exact zero.  ``u`` and ``w`` are views of the two flat
+    ``buffers``.
+    """
+    first, *rest = cols
+    n = len(first)
+    m = min(rows, n - a)
+    r2 = buffers[0][: m * (n - a)].reshape(m, n - a)
+    d = buffers[1][: r2.size].reshape(r2.shape)
+    np.subtract(first[a : a + m, None], first[a:], out=r2)
+    r2 *= r2
+    for col in rest:
+        np.subtract(col[a : a + m, None], col[a:], out=d)
+        d *= d
+        r2 += d
+    np.fill_diagonal(r2, 1.0)
+    u, w = _kernel(pot, r2, d)
+    np.fill_diagonal(u, 0.0)
+    np.fill_diagonal(w, 0.0)
+    return u, w
+
+
+def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
+    """Call ``reduce(visit(a, u, w))`` for each row block of the pair matrix of x, in order.
+
+    The blocks are consecutive rows a <= i < a + len(u), each from its own
+    diagonal on, as :func:`_pair_block` makes them; u and w are valid until
+    visit returns.  A walk of two or more blocks runs visit on up to
+    ``_THREADS`` threads, the calling one included, each with its own
+    buffers.  A block's result is reduced as soon as every earlier block's
+    has been, by whichever thread completes that prefix, under a lock; so
+    reduce sees the blocks in order, one at a time, and the outcome does not
+    depend on the number of threads.  The caller silences numpy's divide,
+    overflow and invalid warnings for its own thread; the helper threads
+    silence them for theirs.
     """
     n = x.shape[0]
     rows = max(1, min(n, _BLOCK_ELEMENTS // n))
-    r2_buf, d_buf = np.empty(rows * n), np.empty(rows * n)
-    first, *rest = np.ascontiguousarray(x.T)
-    for a in range(0, n, rows):
-        m = min(rows, n - a)
-        r2 = r2_buf[: m * (n - a)].reshape(m, n - a)
-        d = d_buf[: r2.size].reshape(r2.shape)
-        np.subtract(first[a : a + m, None], first[a:], out=r2)
-        r2 *= r2
-        for col in rest:
-            np.subtract(col[a : a + m, None], col[a:], out=d)
-            d *= d
-            r2 += d
-        np.fill_diagonal(r2, 1.0)
-        u, w = _kernel(pot, r2, d)
-        np.fill_diagonal(u, 0.0)
-        np.fill_diagonal(w, 0.0)
-        yield a, u, w
+    starts = range(0, n, rows)
+    cols = list(np.ascontiguousarray(x.T))
+    threads = min(_THREADS, len(starts))
+    if threads == 1:
+        buffers = np.empty(rows * n), np.empty(rows * n)
+        for a in starts:
+            reduce(visit(a, *_pair_block(cols, pot, a, rows, buffers)))
+        return
+
+    lock = threading.Lock()
+    unclaimed = iter(starts)
+    results = [None] * len(starts)
+    reduced = 0
+
+    def work():
+        nonlocal reduced
+        buffers = np.empty(rows * n), np.empty(rows * n)
+        while True:
+            with lock:
+                a = next(unclaimed, None)
+            if a is None:
+                return
+            result = visit(a, *_pair_block(cols, pot, a, rows, buffers))
+            with lock:
+                results[a // rows] = result
+                while reduced < len(results) and results[reduced] is not None:
+                    reduce(results[reduced])
+                    results[reduced] = None
+                    reduced += 1
+
+    def helper():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            work()
+
+    from concurrent.futures import wait
+
+    futures = [_helpers().submit(helper) for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
-def _exact_sum_terms(u: np.ndarray) -> list[float]:
+def _exact_sum_terms(u: np.ndarray, h: np.ndarray) -> list[float]:
     """A few floats whose exact sum is the exact sum of the entries of u.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
@@ -187,7 +294,7 @@ def _exact_sum_terms(u: np.ndarray) -> list[float]:
     too.  Each round peels off the leading 53 - log2(2 * size) bits of every
     entry, and rounds repeat until nothing is left.  Entries that are not
     finite, or whose sigma would overflow, are returned as they are.  u is
-    overwritten.
+    overwritten, and h, an array of u's shape, is scratch.
     """
     scale = math.ceil(math.log2(u.size)) + 1
     terms = []
@@ -199,7 +306,7 @@ def _exact_sum_terms(u: np.ndarray) -> list[float]:
         if not (math.isfinite(mu) and exponent < 1024):
             return terms + u.ravel().tolist()
         sigma = math.ldexp(1.0, exponent)
-        h = u + sigma
+        np.add(u, sigma, out=h)
         h -= sigma
         terms.append(float(np.sum(h)))
         u -= h
@@ -221,13 +328,16 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     vanishes at r = 0, where the pair adds 0.
     """
     terms = []
+
+    def visit(a, u, w):
+        # Of the block's leading square only the pairs right of the diagonal
+        # count.
+        m = u.shape[0]
+        u[:, :m][np.tri(m, dtype=bool)] = 0.0
+        return _exact_sum_terms(u, w)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _, u, _ in _pair_blocks(_embedded(points, domain, pot), pot):
-            # Of the block's leading square only the pairs right of the
-            # diagonal count.
-            m = u.shape[0]
-            u[:, :m][np.tri(m, dtype=bool)] = 0.0
-            terms += _exact_sum_terms(u)
+        _walk(_embedded(points, domain, pot), pot, visit, terms.extend)
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -260,24 +370,37 @@ def energy_gradient_of_points(
     coincide or a kernel's derivative overflows; nothing here raises on it.
     """
     x = _embedded(points, domain, pot)
+    n = len(x)
     energy = 0.0
     grad = np.zeros_like(x)
+
+    def visit(a, u, w):
+        # The block's leading square holds each of its pairs twice.  Each row
+        # i of the block takes its pairs with every j >= a; the columns right
+        # of the square also give each later row j its pair with i, which no
+        # later block visits.
+        m = u.shape[0]
+        b = a + m
+        own = x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
+        if b == n:
+            return 0.5 * float(np.sum(u)), a, b, own, None
+        e = 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
+        right = w[:, m:]
+        return e, a, b, own, x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
+
+    def reduce(result):
+        nonlocal energy
+        e, a, b, own, later = result
+        energy += e
+        grad[a:b] += own
+        if later is not None:
+            grad[b:] += later
+
     # Finite pair energies at tiny separations (Lennard-Jones, or a power law
     # with s < 0) can sum past the largest float, and there or at a coincident
     # pair the weights are infinite or nan.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, u, w in _pair_blocks(x, pot):
-            # The block's leading square holds each of its pairs twice.  Each
-            # row i of the block takes its pairs with every j >= a; the
-            # columns right of the square also give each later row j its pair
-            # with i, which no later block visits.
-            m = u.shape[0]
-            b = a + m
-            energy += 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
-            grad[a:b] += x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
-            if b < len(x):
-                right = w[:, m:]
-                grad[b:] += x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
+        _walk(x, pot, visit, reduce)
         return energy, tangent_project_points(points, grad, domain)
 
 

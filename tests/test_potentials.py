@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import queue
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -109,6 +113,18 @@ class TestPairEnergy:
         assert engine_energy(lennard_jones(), 0.0) == math.inf
         # continuity limit of the positive-exponent branch
         assert engine_energy(riesz(0.5), 0.0) == 0.0
+
+    def test_inverse_r_kernel_matches_formula(self):
+        # s = -1 takes U = 1/sqrt(r2): within two roundings of the formula,
+        # with the formula's limits at r2 = 0.
+        r = np.array([0.0, 1e-100, 1e-8, 0.3, 1.0, 1.7, 2.0, 1e100])
+        with np.errstate(divide="ignore"):
+            u, w = potentials._kernel(riesz(-1.0), r * r, np.empty(len(r)))
+        assert (u[0], w[0]) == (math.inf, -math.inf)
+        for rk, uk, wk in zip(r[1:].tolist(), u[1:], w[1:]):
+            value, derivative = pair_formula(riesz(-1.0), rk)
+            assert uk == pytest.approx(value, rel=4.5e-16)
+            assert wk == pytest.approx(derivative / rk, rel=1e-15)
 
     def test_lj_overflow_is_infinite(self):
         assert engine_energy(lennard_jones(), 1e-60) == math.inf
@@ -367,6 +383,143 @@ class TestEngineMatchesScalarKernel:
             energy_gradient(Configuration(domain, points), pot)
 
 
+def walk_bits(points, domain, pot):
+    """Exact energy, line-search energy and gradient, as bytes."""
+    energy, grad = energy_gradient_of_points(points, domain, pot)
+    return total_energy_of_points(points, domain, pot).hex(), energy.hex(), grad.tobytes()
+
+
+# Two rows per block at N = 9, or the default blocks at N = 600 (six blocks).
+BLOCK_CASES = pytest.mark.parametrize(
+    "n, block", [(9, 2 * 9), (600, potentials._BLOCK_ELEMENTS)], ids=["2-rows", "default"]
+)
+
+
+def walk_helper_first(monkeypatch):
+    """Walk on three threads, with a block walked by a helper thread first.
+
+    The calling thread waits before each of its blocks until, in the same
+    walk, a helper thread has walked one.
+    """
+    monkeypatch.setattr(potentials, "_THREADS", 3)
+    caller = threading.get_ident()
+    helped = threading.Event()
+    walk, pair_block = potentials._walk, potentials._pair_block
+
+    def first_helped_walk(*args):
+        helped.clear()
+        return walk(*args)
+
+    def helper_first_block(*args):
+        if threading.get_ident() == caller:
+            assert helped.wait(timeout=60), "no helper thread walked a block"
+            return pair_block(*args)
+        try:
+            return pair_block(*args)
+        finally:
+            helped.set()
+
+    monkeypatch.setattr(potentials, "_walk", first_helped_walk)
+    monkeypatch.setattr(potentials, "_pair_block", helper_first_block)
+
+
+@BLOCK_CASES
+@pytest.mark.parametrize(
+    "domain,pot", ENGINE_CASES,
+    ids=[f"{d.kind}-{p.kind}{p.exponent or ''}" for d, p in ENGINE_CASES],
+)
+def test_threaded_walk_gives_the_bits_of_one_thread(n, block, domain, pot, monkeypatch):
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
+    points = random_configuration(domain, n, 38).points
+    monkeypatch.setattr(potentials, "_THREADS", 1)
+    serial = walk_bits(points, domain, pot)
+    walk_helper_first(monkeypatch)
+    assert walk_bits(points, domain, pot) == serial
+
+
+@BLOCK_CASES
+@pytest.mark.parametrize("pot", [log_coulomb(), riesz(-1.0)], ids=["log", "riesz-1"])
+def test_threaded_walk_with_coincident_points(n, block, pot, monkeypatch):
+    # Points 2k and 2k + 1 coincide, so every block holds a coincident pair,
+    # and a helper thread walks at least one.  A RuntimeWarning on any
+    # thread fails the test.
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
+    walk_helper_first(monkeypatch)
+    points = random_configuration(sphere(), n, 39).points
+    points[1::2] = points[: n - 1 : 2]
+    assert total_energy_of_points(points, sphere(), pot) == math.inf
+    energy, grad = energy_gradient_of_points(points, sphere(), pot)
+    assert energy == math.inf
+    assert not np.isfinite(grad).all()
+    with pytest.raises(CoincidentPointsError):
+        energy_gradient(Configuration(sphere(), points), pot)
+
+
+def test_threaded_walk_under_frequent_switches(monkeypatch):
+    # Four threads on 100 two-row blocks, switching every microsecond: a
+    # lost or reordered reduction would change the bits.
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 200)
+    points = random_configuration(sphere(), 200, 44).points
+    monkeypatch.setattr(potentials, "_THREADS", 1)
+    serial = walk_bits(points, sphere(), riesz(-1.0))
+    monkeypatch.setattr(potentials, "_THREADS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert walk_bits(points, sphere(), riesz(-1.0)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_start_only_for_walks_of_several_blocks(monkeypatch):
+    monkeypatch.setattr(potentials, "_pool", None)
+    monkeypatch.setattr(potentials, "_THREADS", 3)
+    before = threading.active_count()
+    points = random_configuration(sphere(), 30, 42).points
+    walk_bits(points, sphere(), log_coulomb())
+    assert potentials._pool is None
+    assert threading.active_count() == before
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 30)
+    try:
+        for _ in range(40):
+            walk_bits(points, sphere(), log_coulomb())
+        assert potentials._pool is not None
+        assert threading.active_count() - before <= potentials._MAX_THREADS - 1
+    finally:
+        if potentials._pool is not None:
+            potentials._pool.shutdown()
+
+
+def send_walk_bits(points, results):
+    results.put(walk_bits(points, sphere(), riesz(-1.0)))
+
+
+def test_forked_child_walks_on_its_own_threads(monkeypatch):
+    # The child inherits the parent's started pool, but none of its threads.
+    monkeypatch.setattr(potentials, "_THREADS", 3)
+    points = random_configuration(sphere(), 600, 43).points
+    parent = walk_bits(points, sphere(), riesz(-1.0))
+    assert potentials._pool is not None
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=send_walk_bits, args=(points, results))
+    child.start()
+    try:
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child's walk did not finish")
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+        assert got == parent
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+
+
 @pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
 def test_duplicated_point_in_general_position_rejected(domain):
     points = random_configuration(domain, 6, 41).points
@@ -382,9 +535,9 @@ def assert_exact_sum_is_fsum(values):
         want = math.fsum(values)
     except OverflowError:
         with pytest.raises(OverflowError):
-            math.fsum(potentials._exact_sum_terms(u))
+            math.fsum(potentials._exact_sum_terms(u, np.empty_like(u)))
         return
-    assert math.fsum(potentials._exact_sum_terms(u)).hex() == want.hex()
+    assert math.fsum(potentials._exact_sum_terms(u, np.empty_like(u))).hex() == want.hex()
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
