@@ -294,7 +294,7 @@ def _exact_sum_terms(u: np.ndarray, h: np.ndarray) -> list[float]:
     too.  Each round peels off the leading 53 - log2(2 * size) bits of every
     entry, and rounds repeat until nothing is left.  Entries that are not
     finite, or whose sigma would overflow, are returned as they are.  u is
-    overwritten, and h, an array of u's shape, is scratch.
+    overwritten, and h, an array of u's shape, is working space.
     """
     scale = math.ceil(math.log2(u.size)) + 1
     terms = []
