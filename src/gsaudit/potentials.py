@@ -28,7 +28,7 @@ rows are visited in both directions; the gradient applies the weight
 U'(r)/r of every other pair, visited once, to both of its ends.  A walk of
 two or more blocks (N > 256) runs on the calling thread and the helper
 threads of a pool kept for the process, one thread per usable CPU up to
-four; each block's results are reduced in block order, so every result is
+two; each block's results are reduced in block order, so every result is
 bit for bit the same whatever the number of threads.
 """
 
@@ -124,10 +124,7 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     elif pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
-        inv6 = r2 * r2
-        inv6 *= r2
-        np.divide(1.0, inv6, out=inv6)
-        np.minimum(inv6, _LARGEST, out=inv6)
+        inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
         inv12 = inv6 * inv6
         np.subtract(inv12, inv6, out=u)
         np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
@@ -157,8 +154,10 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
 _BLOCK_ELEMENTS = 1 << 16
 
 # Threads that walk the blocks of one call, the calling thread included: the
-# usable CPUs, at most _MAX_THREADS.
-_MAX_THREADS = 4
+# usable CPUs, at most _MAX_THREADS.  More than two have not been measured;
+# on two cores the second thread makes a 1/r walk at N = 2048 only about 1.17
+# times as fast, as each thread's numpy calls wait for the GIL.
+_MAX_THREADS = 2
 _THREADS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
     _MAX_THREADS,
@@ -187,7 +186,7 @@ def _helpers():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(_MAX_THREADS - 1, thread_name_prefix="gsaudit-pairs")
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="gsaudit-pairs")
         return _pool
 
 

@@ -485,7 +485,7 @@ def test_threads_start_only_for_walks_of_several_blocks(monkeypatch):
         for _ in range(40):
             walk_bits(points, sphere(), log_coulomb())
         assert potentials._pool is not None
-        assert threading.active_count() - before <= potentials._MAX_THREADS - 1
+        assert threading.active_count() - before <= potentials._THREADS - 1
     finally:
         if potentials._pool is not None:
             potentials._pool.shutdown()
