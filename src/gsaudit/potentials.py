@@ -22,14 +22,15 @@ s = -1, since U'(r)/r = s U / r^2.  At r2 = 0 the kernel takes its limit: a
 coincident pair's energy is +inf, or 0 for the power law with 0 < s < 2,
 and its gradient is not finite, so :func:`energy_gradient` refuses it.
 Evaluation is O(N^2) per call.  It runs over blocks of rows of the pair
-matrix, each from its own diagonal on and 512 KB at most, so its memory is
-O(N) and no (N, N) array is ever formed.  Only the pairs among a block's own
-rows are visited in both directions; the gradient applies the weight
-U'(r)/r of every other pair, visited once, to both of its ends.  A walk of
-two or more blocks (N > 256) runs on the calling thread and the helper
-threads of a pool kept for the process, one thread per usable CPU up to
-two; each block's results are reduced in block order, so every result is
-bit for bit the same whatever the number of threads.
+matrix, each from its own diagonal on.  A block takes as many rows as fit in
+512 KB, so the blocks are about equal in size; memory is O(N) and no (N, N)
+array is ever formed.  Only the pairs among a block's own rows are visited
+in both directions; the gradient applies the weight U'(r)/r of every other
+pair, visited once, to both of its ends.  A walk of two or more blocks
+(N > 256) runs on the calling thread and the helper threads of a pool kept
+for the process, one thread per usable CPU up to two; each block's results
+are reduced in block order, so every result is bit for bit the same
+whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -146,17 +147,18 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     return u, r2
 
 
-# Size of one block of the pair matrix, in elements: a (rows, N) float64 slab
-# of 512 KB stays in cache and is reused from the heap, one pair of slabs per
-# walking thread.  Whole (N, N) arrays were mapped afresh and page-faulted on
-# every call (33 MB each at N = 2048), so their cost swung with the memory
-# traffic of everything else on the machine.
+# Size of one block of the pair matrix, in elements: rows from their own
+# diagonal on, up to 512 KB of float64, so every block but the last of a
+# large-N walk is about this size.  It stays in cache and is reused from the
+# heap, one pair of buffers per walking thread.  Whole (N, N) arrays were
+# mapped afresh and page-faulted on every call (33 MB each at N = 2048), so
+# their cost swung with the memory traffic of everything else on the machine.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Threads that walk the blocks of one call, the calling thread included: the
 # usable CPUs, at most _MAX_THREADS.  More than two have not been measured;
-# on two cores the second thread makes a 1/r walk at N = 2048 only about 1.17
-# times as fast, as each thread's numpy calls wait for the GIL.
+# on two cores the second thread makes a 1/r walk at N = 2048 about 1.4 times
+# as fast, not 2, as each thread's numpy calls wait for the GIL.
 _MAX_THREADS = 2
 _THREADS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -190,23 +192,38 @@ def _helpers():
         return _pool
 
 
-def _pair_block(cols: list, pot: PotentialSpec, a: int, rows: int, buffers: tuple) -> tuple:
-    """Kernel values and weights ``(u, w)`` of up to ``rows`` rows from row a on.
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The row blocks ``(a, m)`` of a walk over N points, in row order.
 
-    The block holds the pairs of rows a <= i < a + m, m = min(rows, N - a),
-    with themselves and later rows; ``cols`` holds the coordinate columns of
-    the N points.  ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the
-    squared distance from row a + k to row a + j, with the diagonal zeroed.
-    The block's leading square holds its own rows' pairs in both directions;
-    the columns right of it hold each pair with a later row once.  Each
-    squared distance is built from direct differences one coordinate at a
-    time, so the square is exactly symmetric, and a pair of identical rows
-    gives an exact zero.  ``u`` and ``w`` are views of the two flat
-    ``buffers``.
+    Block ``(a, m)`` holds rows a <= i < a + m from their own diagonal on,
+    m * (N - a) pairs.  It takes as many rows as fit in ``_BLOCK_ELEMENTS``
+    pairs, so the blocks are about equal in size, and one row when that row
+    alone holds more.
+    """
+    blocks = []
+    a = 0
+    while a < n:
+        m = max(1, min(n - a, _BLOCK_ELEMENTS // (n - a)))
+        blocks.append((a, m))
+        a += m
+    return blocks
+
+
+def _pair_block(cols: list, pot: PotentialSpec, a: int, m: int, buffers: tuple) -> tuple:
+    """Kernel values and weights ``(u, w)`` of the m rows from row a on.
+
+    The block holds the pairs of rows a <= i < a + m with themselves and
+    later rows; ``cols`` holds the coordinate columns of the N points.
+    ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the squared distance
+    from row a + k to row a + j, with the diagonal zeroed.  The block's
+    leading square holds its own rows' pairs in both directions; the columns
+    right of it hold each pair with a later row once.  Each squared distance
+    is built from direct differences one coordinate at a time, so the square
+    is exactly symmetric, and a pair of identical rows gives an exact zero.
+    ``u`` and ``w`` are views of the two flat ``buffers``.
     """
     first, *rest = cols
     n = len(first)
-    m = min(rows, n - a)
     r2 = buffers[0][: m * (n - a)].reshape(m, n - a)
     d = buffers[1][: r2.size].reshape(r2.shape)
     np.subtract(first[a : a + m, None], first[a:], out=r2)
@@ -225,44 +242,45 @@ def _pair_block(cols: list, pot: PotentialSpec, a: int, rows: int, buffers: tupl
 def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
     """Call ``reduce(visit(a, u, w))`` for each row block of the pair matrix of x, in order.
 
-    The blocks are consecutive rows a <= i < a + len(u), each from its own
-    diagonal on, as :func:`_pair_block` makes them; u and w are valid until
-    visit returns.  A walk of two or more blocks runs visit on up to
-    ``_THREADS`` threads, the calling one included, each with its own
-    buffers.  A block's result is reduced as soon as every earlier block's
-    has been, by whichever thread completes that prefix, under a lock; so
-    reduce sees the blocks in order, one at a time, and the outcome does not
-    depend on the number of threads.  The caller silences numpy's divide,
-    overflow and invalid warnings for its own thread; the helper threads
-    silence them for theirs.
+    The blocks are those of :func:`_blocks`, as :func:`_pair_block` makes
+    them; u and w are valid until visit returns.  A walk of two or more
+    blocks runs visit on up to ``_THREADS`` threads, the calling one
+    included, each with its own buffers, as large as the largest block.  A
+    block's result is reduced as soon as every earlier block's has been, by
+    whichever thread completes that prefix, under a lock; so reduce sees the
+    blocks in order, one at a time, and the outcome does not depend on the
+    number of threads.  The caller silences numpy's divide, overflow and
+    invalid warnings for its own thread; the helper threads silence them for
+    theirs.
     """
     n = x.shape[0]
-    rows = max(1, min(n, _BLOCK_ELEMENTS // n))
-    starts = range(0, n, rows)
+    blocks = _blocks(n)
+    size = max(m * (n - a) for a, m in blocks)
     cols = list(np.ascontiguousarray(x.T))
-    threads = min(_THREADS, len(starts))
+    threads = min(_THREADS, len(blocks))
     if threads == 1:
-        buffers = np.empty(rows * n), np.empty(rows * n)
-        for a in starts:
-            reduce(visit(a, *_pair_block(cols, pot, a, rows, buffers)))
+        buffers = np.empty(size), np.empty(size)
+        for a, m in blocks:
+            reduce(visit(a, *_pair_block(cols, pot, a, m, buffers)))
         return
 
     lock = threading.Lock()
-    unclaimed = iter(starts)
-    results = [None] * len(starts)
+    unclaimed = iter(enumerate(blocks))
+    results = [None] * len(blocks)
     reduced = 0
 
     def work():
         nonlocal reduced
-        buffers = np.empty(rows * n), np.empty(rows * n)
+        buffers = np.empty(size), np.empty(size)
         while True:
             with lock:
-                a = next(unclaimed, None)
-            if a is None:
+                claimed = next(unclaimed, None)
+            if claimed is None:
                 return
-            result = visit(a, *_pair_block(cols, pot, a, rows, buffers))
+            k, (a, m) = claimed
+            result = visit(a, *_pair_block(cols, pot, a, m, buffers))
             with lock:
-                results[a // rows] = result
+                results[k] = result
                 while reduced < len(results) and results[reduced] is not None:
                     reduce(results[reduced])
                     results[reduced] = None

@@ -3,6 +3,7 @@ import multiprocessing
 import queue
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,6 +292,10 @@ ENGINE_CASES = [
     if pot.kind != "lj" or domain.kind == "free3"
 ]
 
+# Block sizes for N = 9: blocks of 2, 2, 3 and 2 rows at 18 pairs; at 5 pairs,
+# seven one-row blocks (the first four longer than 5 pairs) and a last of two.
+SMALL_BLOCKS = (2 * 9, 5)
+
 
 @pytest.mark.parametrize(
     "domain,pot", ENGINE_CASES,
@@ -320,8 +325,9 @@ class TestEngineMatchesScalarKernel:
         u, _ = potentials._kernel(pot, np.array(r2), np.empty(len(r2)))
         want = math.fsum(u.tolist())
         assert total_energy_of_points(points, domain, pot) == want
-        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
-        assert total_energy_of_points(points, domain, pot) == want
+        for block in SMALL_BLOCKS:
+            monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
+            assert total_energy_of_points(points, domain, pot) == want
 
     def test_search_energy_matches_total_energy(self, domain, pot):
         points = random_configuration(domain, 9, 33).points
@@ -361,26 +367,27 @@ class TestEngineMatchesScalarKernel:
             *energy_gradient_of_points(points, domain, pot),
         ]
         assert whole[1] == pytest.approx(whole[0], rel=1e-12)
-        # Two rows per block: four blocks of two and a last block of one.
-        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
-        assert total_energy_of_points(points, domain, pot) == whole[0]
-        energy, grad = energy_gradient_of_points(points, domain, pot)
-        assert energy == pytest.approx(whole[0], rel=1e-12)
-        assert energy == pytest.approx(whole[1], rel=1e-12)
-        for got, want in zip(grad, whole[2]):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for block in SMALL_BLOCKS:
+            monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
+            assert total_energy_of_points(points, domain, pot) == whole[0]
+            energy, grad = energy_gradient_of_points(points, domain, pot)
+            assert energy == pytest.approx(whole[0], rel=1e-12)
+            assert energy == pytest.approx(whole[1], rel=1e-12)
+            for got, want in zip(grad, whole[2]):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_row_blocks_with_coincident_points(self, domain, pot, monkeypatch):
         points = random_configuration(domain, 9, 36).points
         points[7] = points[1]
         exact = total_energy_of_points(points, domain, pot)
-        monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 9)
-        assert total_energy_of_points(points, domain, pot) == exact
-        energy, grad = energy_gradient_of_points(points, domain, pot)
-        assert energy == pytest.approx(exact, rel=1e-12)
-        assert not np.isfinite(grad).all()
-        with pytest.raises(CoincidentPointsError):
-            energy_gradient(Configuration(domain, points), pot)
+        for block in SMALL_BLOCKS:
+            monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
+            assert total_energy_of_points(points, domain, pot) == exact
+            energy, grad = energy_gradient_of_points(points, domain, pot)
+            assert energy == pytest.approx(exact, rel=1e-12)
+            assert not np.isfinite(grad).all()
+            with pytest.raises(CoincidentPointsError):
+                energy_gradient(Configuration(domain, points), pot)
 
 
 def walk_bits(points, domain, pot):
@@ -389,10 +396,39 @@ def walk_bits(points, domain, pot):
     return total_energy_of_points(points, domain, pot).hex(), energy.hex(), grad.tobytes()
 
 
-# Two rows per block at N = 9, or the default blocks at N = 600 (six blocks).
+# At N = 9, blocks of 2, 2, 3 and 2 rows, or seven one-row blocks and a last
+# of two; at N = 600, the four default blocks.
 BLOCK_CASES = pytest.mark.parametrize(
-    "n, block", [(9, 2 * 9), (600, potentials._BLOCK_ELEMENTS)], ids=["2-rows", "default"]
+    "n, block",
+    [(9, 2 * 9), (9, 5), (600, potentials._BLOCK_ELEMENTS)],
+    ids=["2-rows", "1-row", "default"],
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 1 << 17))
+def test_blocks_tile_the_rows_within_the_size(n, size):
+    with mock.patch.object(potentials, "_BLOCK_ELEMENTS", size):
+        blocks = potentials._blocks(n)
+    a = 0
+    for start, m in blocks:
+        assert start == a
+        if n - a > size:
+            assert m == 1
+        else:
+            assert 1 <= m and m * (n - a) <= size
+        if a + m < n:
+            # Full: one more row would not fit.
+            assert (m + 1) * (n - a) > size
+        a += m
+    assert a == n
+
+
+def test_default_blocks():
+    # One block up to N = 256, so small-N walks run on the calling thread.
+    assert potentials._blocks(256) == [(0, 256)]
+    assert len(potentials._blocks(257)) == 2
+    assert len(potentials._blocks(2048)) <= 35
 
 
 def walk_helper_first(monkeypatch):
@@ -456,8 +492,8 @@ def test_threaded_walk_with_coincident_points(n, block, pot, monkeypatch):
 
 
 def test_threaded_walk_under_frequent_switches(monkeypatch):
-    # Four threads on 100 two-row blocks, switching every microsecond: a
-    # lost or reordered reduction would change the bits.
+    # Four threads on 60 blocks of 2 to 14 rows, switching every microsecond:
+    # a lost or reordered reduction would change the bits.
     monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 200)
     points = random_configuration(sphere(), 200, 44).points
     monkeypatch.setattr(potentials, "_THREADS", 1)
