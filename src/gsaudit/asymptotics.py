@@ -8,10 +8,11 @@ like a*N^2 + b*N^(3/2) with a = 1/2 proven and
     b = 3 * sqrt(sqrt(3)/(8 pi)) * zeta(1/2)
           * sum_{k>=0} (1/sqrt(3k+1) - 1/sqrt(3k+2))  ~  -0.55305
 
-evaluated here by direct summation with an integral tail correction.  The
-zeta value is computed internally from the alternating (eta) series with
-Euler acceleration rather than hard-coding a constant, which keeps the module
-self-verifying against an independent direct summation.
+The k-sum is frozen at its closed form, (zeta(1/2, 1/3) - zeta(1/2, 2/3)) /
+sqrt(3) with Hurwitz zeta values.  The zeta value is computed internally from
+the alternating (eta) series with Euler acceleration rather than hard-coding
+a constant, which keeps the module self-verifying against an independent
+direct summation.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ B_LOG_SPHERE = -0.25
 
 A_THOMSON = 0.5
 
-# Truncation error bound of the k-sum factor of the 1/r N^(3/2) coefficient.
-_K_SUM_TOLERANCE = 1e-6
+# The k-sum factor of the 1/r N^(3/2) coefficient,
+#   sum_{k>=0} (1/sqrt(3k+1) - 1/sqrt(3k+2)) = (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
+# with Hurwitz zeta values, evaluated at 40 digits with mpmath.
+_K_SUM = 0.48086755769682865
 
 
 def zeta_alternating(s: float) -> float:
@@ -64,30 +67,10 @@ def zeta_alternating(s: float) -> float:
     return float(total / (1.0 - 2.0 ** (1.0 - s)))
 
 
-def _k_sum() -> float:
-    """sum_{k>=0} (1/sqrt(3k+1) - 1/sqrt(3k+2)) with error below _K_SUM_TOLERANCE.
-
-    Terms decay like k^(-3/2).  After K explicit terms the remainder is
-    replaced by its integral comparison, (2/3)(sqrt(3K+2) - sqrt(3K+1)), plus
-    half the first omitted term; the residual of that correction is bounded by
-    half the first omitted term, which fixes K.
-    """
-    def term(k: float) -> float:
-        return 1.0 / math.sqrt(3.0 * k + 1.0) - 1.0 / math.sqrt(3.0 * k + 2.0)
-
-    cutoff = max(64, math.ceil((0.05 / _K_SUM_TOLERANCE) ** (2.0 / 3.0)))
-    while term(cutoff) / 2.0 > _K_SUM_TOLERANCE:
-        cutoff *= 2
-    k = np.arange(cutoff, dtype=float)
-    explicit = math.fsum(1.0 / np.sqrt(3.0 * k + 1.0) - 1.0 / np.sqrt(3.0 * k + 2.0))
-    tail = (2.0 / 3.0) * (math.sqrt(3.0 * cutoff + 2.0) - math.sqrt(3.0 * cutoff + 1.0))
-    return explicit + tail + term(cutoff) / 2.0
-
-
 def compute_b_coefficient() -> float:
     """The N^(3/2) coefficient of the 1/r sphere expansion, ~ -0.55305."""
     prefactor = 3.0 * math.sqrt(math.sqrt(3.0) / (8.0 * math.pi))
-    return prefactor * zeta_alternating(0.5) * _k_sum()
+    return prefactor * zeta_alternating(0.5) * _K_SUM
 
 
 @dataclass(frozen=True)

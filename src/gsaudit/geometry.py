@@ -40,7 +40,7 @@ class DomainSpec:
 
     ``aspect_ratio`` is the ratio of major to minor radius of the embedded
     torus (minor radius fixed to 1); it must be > 1 so the surface does not
-    self-intersect, and must be absent for the other domains.
+    self-intersect, and finite, and must be absent for the other domains.
     """
 
     kind: str
@@ -52,8 +52,8 @@ class DomainSpec:
                 f"unknown domain kind {self.kind!r}; expected one of {_KINDS}"
             )
         if self.kind == TORUS:
-            if self.aspect_ratio is None or not self.aspect_ratio > 1.0:
-                raise ValueError("torus aspect_ratio (major/minor radius) must be > 1")
+            if self.aspect_ratio is None or not 1.0 < self.aspect_ratio < math.inf:
+                raise ValueError("torus aspect_ratio (major/minor radius) must be > 1 and finite")
         elif self.aspect_ratio is not None:
             raise ValueError(f"aspect_ratio is not meaningful for {self.kind!r}")
 

@@ -93,8 +93,8 @@ class OptimizerSettings:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not 0.0 < self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be positive and finite")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -27,14 +27,15 @@ matrix, each from its own diagonal on.  A block takes as many rows as fit in
 array is ever formed.  Only the pairs among a block's own rows are visited
 in both directions; the gradient applies the weight U'(r)/r of every other
 pair, visited once, to both of its ends.  A walk of two or more blocks
-(N > 256) runs on the calling thread and the helper threads of a pool kept
-for the process, one thread per usable CPU up to two; each block's results
-are reduced in block order, so every result is bit for bit the same
-whatever the number of threads.
+(N > 256) runs on the calling thread and the helpers of one cached pool,
+started by the first such walk and kept, one thread per usable CPU up to
+two; each block's results are reduced in block order, so every result is
+bit for bit the same whatever the number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -74,8 +75,8 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == RIESZ:
             s = self.exponent
-            if s is None or not s < 2.0 or s == 0.0:
-                raise ValueError("power-law exponent must satisfy s < 2 and s != 0 "
+            if s is None or not -math.inf < s < 2.0 or s == 0.0:
+                raise ValueError("power-law exponent must be finite, s < 2 and s != 0 "
                                  "(use the log kernel for the s = 0 limit)")
         elif self.exponent is not None:
             raise ValueError(f"{self.kind!r} takes no parameters")
@@ -87,7 +88,7 @@ def log_coulomb() -> PotentialSpec:
 
 
 def riesz(s: float) -> PotentialSpec:
-    """The power-law kernel -sign(s) * r^s, s < 2, s != 0."""
+    """The power-law kernel -sign(s) * r^s, finite s < 2, s != 0."""
     return PotentialSpec(RIESZ, exponent=float(s))
 
 
@@ -165,31 +166,27 @@ _THREADS = min(
     _MAX_THREADS,
 )
 
-# The helper threads, started by the first walk of two or more blocks on more
-# than one thread and kept for every later walk.
-_pool = None
-_pool_lock = threading.Lock()
 
+@functools.cache
+def _helpers():
+    """The pool of helper threads, started by the first walk of several blocks and kept.
 
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    Each helper silences numpy's divide, overflow and invalid warnings once,
+    for its whole life.  A forked child has none of the parent's threads, so
+    it drops the cached pool and starts its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(
+        _THREADS - 1,
+        thread_name_prefix="gsaudit-pairs",
+        initializer=np.seterr,
+        initargs=(None, "ignore", "ignore", None, "ignore"),
+    )
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _helpers():
-    """The pool of helper threads, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="gsaudit-pairs")
-        return _pool
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -250,8 +247,8 @@ def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
     whichever thread completes that prefix, under a lock; so reduce sees the
     blocks in order, one at a time, and the outcome does not depend on the
     number of threads.  The caller silences numpy's divide, overflow and
-    invalid warnings for its own thread; the helper threads silence them for
-    theirs.
+    invalid warnings for its own thread; the helper threads of
+    :func:`_helpers` run with them silenced.
     """
     n = x.shape[0]
     blocks = _blocks(n)
@@ -286,13 +283,9 @@ def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
                     results[reduced] = None
                     reduced += 1
 
-    def helper():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            work()
-
     from concurrent.futures import wait
 
-    futures = [_helpers().submit(helper) for _ in range(threads - 1)]
+    futures = [_helpers().submit(work) for _ in range(threads - 1)]
     try:
         work()
     finally:

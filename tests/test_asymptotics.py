@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gsaudit import asymptotics, fixture_path
+from gsaudit import fixture_path
 from gsaudit.asymptotics import (
     A_LOG_SPHERE,
     LOG_SPHERE,
@@ -24,9 +24,6 @@ from gsaudit.potentials import coulomb, log_coulomb, riesz
 # b = 3 sqrt(sqrt(3)/(8 pi)) zeta(1/2) (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
 # the k-sum written with Hurwitz zeta values, evaluated at 30 digits with mpmath.
 B_CLOSED_FORM = -0.5530512933575952
-
-# |prefactor * zeta(1/2)|: maps a k-sum error bound onto the b coefficient
-_B_ERROR_PER_KSUM_ERROR = 1.16
 
 
 def zeta_direct_summation(s: float, terms: int = 4000) -> float:
@@ -63,14 +60,7 @@ class TestBCoefficient:
         assert compute_b_coefficient() == pytest.approx(-0.55305, abs=1e-4)
 
     def test_closed_form(self):
-        assert compute_b_coefficient() == pytest.approx(B_CLOSED_FORM, abs=1e-8)
-
-    @pytest.mark.parametrize("tolerance", [1e-4, 1e-5, 1e-6])
-    def test_truncation_error_within_tolerance(self, tolerance, monkeypatch):
-        # The k-sum's truncation rule keeps its error below the tolerance it is given.
-        monkeypatch.setattr(asymptotics, "_K_SUM_TOLERANCE", tolerance)
-        error = abs(compute_b_coefficient() - B_CLOSED_FORM)
-        assert error < _B_ERROR_PER_KSUM_ERROR * tolerance
+        assert compute_b_coefficient() == pytest.approx(B_CLOSED_FORM, abs=1e-13)
 
 
 class TestModels:

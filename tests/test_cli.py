@@ -38,7 +38,7 @@ class TestTokenParsing:
         assert parse_domain_token("free3") == free3()
 
     def test_bad_domains(self):
-        for token in ("cube", "torus", "torus:0.5", "sphere:2"):
+        for token in ("cube", "torus", "torus:0.5", "torus:inf", "torus:nan", "sphere:2"):
             with pytest.raises(InputError):
                 parse_domain_token(token)
 
@@ -49,7 +49,7 @@ class TestTokenParsing:
         assert parse_potential_token("lj") == lennard_jones()
 
     def test_bad_potentials(self):
-        for token in ("gravity", "riesz", "riesz:2", "coulomb:2", "lj:1"):
+        for token in ("gravity", "riesz", "riesz:2", "riesz:-inf", "coulomb:2", "lj:1"):
             with pytest.raises(InputError):
                 parse_potential_token(token)
 
@@ -131,6 +131,13 @@ class TestParseTable:
         p = tmp_path / "t.tsv"
         p.write_text("#domain=torus\n#aspect_ratio=1.414\n2\t0.5\n", encoding="utf-8")
         assert parse_table(p).metadata.domain == torus(1.414)
+
+    @pytest.mark.parametrize("ratio", ["0.5", "inf"])
+    def test_bad_torus_aspect_ratio_header_fails_the_audit(self, ratio, tmp_path, capsys):
+        p = tmp_path / "t.tsv"
+        p.write_text(f"#domain=torus\n#aspect_ratio={ratio}\n2\t0.5\n", encoding="utf-8")
+        assert main(["audit", "--input", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRoundTrip:
@@ -297,6 +304,17 @@ class TestOptimizeCommand:
                    "--n", "2-3", "--out", str(tmp_path / "x.tsv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain, potential", [("torus:inf", "log"), ("sphere", "riesz:-inf")]
+    )
+    def test_non_finite_parameter_rejected(self, domain, potential, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        rc = main(["optimize", "--domain", domain, "--potential", potential,
+                   "--n", "2-3", "--restarts", "1", "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_range_rejected(self, tmp_path, capsys):
         rc = main(["optimize", "--domain", "sphere", "--potential", "log",

@@ -54,6 +54,13 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("torus")
 
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_torus_needs_a_finite_ratio(self, ratio):
+        # A torus of infinite aspect ratio would pass through to the
+        # rejection sampler of random_configuration, which never accepts.
+        with pytest.raises(ValueError):
+            torus(ratio)
+
     def test_ratio_rejected_elsewhere(self):
         with pytest.raises(ValueError):
             DomainSpec("sphere", aspect_ratio=2.0)

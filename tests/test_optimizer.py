@@ -92,6 +92,9 @@ class TestSettings:
             OptimizerSettings(restarts=0)
         with pytest.raises(ValueError):
             OptimizerSettings(gradient_tolerance=0.0)
+        for tolerance in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                OptimizerSettings(gradient_tolerance=tolerance)
         with pytest.raises(ValueError):
             OptimizerSettings(max_iterations=0)
 

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
+import os
 import queue
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -78,6 +80,9 @@ class TestPotentialSpec:
             riesz(2.0)
         with pytest.raises(ValueError):
             riesz(2.5)
+        for s in (-math.inf, math.nan):
+            with pytest.raises(ValueError):
+                riesz(s)
 
     def test_coulomb_dimension_range(self):
         assert coulomb(3).exponent == -1.0
@@ -431,13 +436,36 @@ def test_default_blocks():
     assert len(potentials._blocks(2048)) <= 35
 
 
-def walk_helper_first(monkeypatch):
+@pytest.fixture
+def threads(monkeypatch):
+    """``threads(count)`` makes later walks run on count threads.
+
+    It patches ``_THREADS`` and starts the helper pool afresh, so the next
+    walk of several blocks starts a pool of count - 1 helpers, whatever an
+    earlier walk of the test run started.  Teardown shuts that pool down and
+    clears the cache again.
+    """
+
+    def close():
+        if potentials._helpers.cache_info().currsize:
+            potentials._helpers().shutdown()
+        potentials._helpers.cache_clear()
+
+    def use(count):
+        monkeypatch.setattr(potentials, "_THREADS", count)
+        close()
+
+    yield use
+    close()
+
+
+def walk_helper_first(monkeypatch, threads):
     """Walk on three threads, with a block walked by a helper thread first.
 
     The calling thread waits before each of its blocks until, in the same
     walk, a helper thread has walked one.
     """
-    monkeypatch.setattr(potentials, "_THREADS", 3)
+    threads(3)
     caller = threading.get_ident()
     helped = threading.Event()
     walk, pair_block = potentials._walk, potentials._pair_block
@@ -464,23 +492,23 @@ def walk_helper_first(monkeypatch):
     "domain,pot", ENGINE_CASES,
     ids=[f"{d.kind}-{p.kind}{p.exponent or ''}" for d, p in ENGINE_CASES],
 )
-def test_threaded_walk_gives_the_bits_of_one_thread(n, block, domain, pot, monkeypatch):
+def test_threaded_walk_gives_the_bits_of_one_thread(n, block, domain, pot, monkeypatch, threads):
     monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
     points = random_configuration(domain, n, 38).points
-    monkeypatch.setattr(potentials, "_THREADS", 1)
+    threads(1)
     serial = walk_bits(points, domain, pot)
-    walk_helper_first(monkeypatch)
+    walk_helper_first(monkeypatch, threads)
     assert walk_bits(points, domain, pot) == serial
 
 
 @BLOCK_CASES
 @pytest.mark.parametrize("pot", [log_coulomb(), riesz(-1.0)], ids=["log", "riesz-1"])
-def test_threaded_walk_with_coincident_points(n, block, pot, monkeypatch):
+def test_threaded_walk_with_coincident_points(n, block, pot, monkeypatch, threads):
     # Points 2k and 2k + 1 coincide, so every block holds a coincident pair,
     # and a helper thread walks at least one.  A RuntimeWarning on any
     # thread fails the test.
     monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", block)
-    walk_helper_first(monkeypatch)
+    walk_helper_first(monkeypatch, threads)
     points = random_configuration(sphere(), n, 39).points
     points[1::2] = points[: n - 1 : 2]
     assert total_energy_of_points(points, sphere(), pot) == math.inf
@@ -491,14 +519,22 @@ def test_threaded_walk_with_coincident_points(n, block, pot, monkeypatch):
         energy_gradient(Configuration(sphere(), points), pot)
 
 
-def test_threaded_walk_under_frequent_switches(monkeypatch):
+def test_threaded_walk_under_frequent_switches(monkeypatch, threads):
     # Four threads on 60 blocks of 2 to 14 rows, switching every microsecond:
     # a lost or reordered reduction would change the bits.
     monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 200)
     points = random_configuration(sphere(), 200, 44).points
-    monkeypatch.setattr(potentials, "_THREADS", 1)
+    threads(1)
     serial = walk_bits(points, sphere(), riesz(-1.0))
-    monkeypatch.setattr(potentials, "_THREADS", 4)
+    threads(4)
+    walkers = set()
+    pair_block = potentials._pair_block
+
+    def spy(*args):
+        walkers.add(threading.get_ident())
+        return pair_block(*args)
+
+    monkeypatch.setattr(potentials, "_pair_block", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -506,37 +542,33 @@ def test_threaded_walk_under_frequent_switches(monkeypatch):
             assert walk_bits(points, sphere(), riesz(-1.0)) == serial
     finally:
         sys.setswitchinterval(interval)
+    assert len(walkers) > 2
 
 
-def test_threads_start_only_for_walks_of_several_blocks(monkeypatch):
-    monkeypatch.setattr(potentials, "_pool", None)
-    monkeypatch.setattr(potentials, "_THREADS", 3)
+def test_threads_start_only_for_walks_of_several_blocks(monkeypatch, threads):
+    threads(3)
     before = threading.active_count()
     points = random_configuration(sphere(), 30, 42).points
     walk_bits(points, sphere(), log_coulomb())
-    assert potentials._pool is None
+    assert potentials._helpers.cache_info().currsize == 0
     assert threading.active_count() == before
     monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 30)
-    try:
-        for _ in range(40):
-            walk_bits(points, sphere(), log_coulomb())
-        assert potentials._pool is not None
-        assert threading.active_count() - before <= potentials._THREADS - 1
-    finally:
-        if potentials._pool is not None:
-            potentials._pool.shutdown()
+    for _ in range(40):
+        walk_bits(points, sphere(), log_coulomb())
+    assert potentials._helpers.cache_info().currsize == 1
+    assert threading.active_count() - before <= potentials._THREADS - 1
 
 
 def send_walk_bits(points, results):
     results.put(walk_bits(points, sphere(), riesz(-1.0)))
 
 
-def test_forked_child_walks_on_its_own_threads(monkeypatch):
+def test_forked_child_walks_on_its_own_threads(threads):
     # The child inherits the parent's started pool, but none of its threads.
-    monkeypatch.setattr(potentials, "_THREADS", 3)
+    threads(3)
     points = random_configuration(sphere(), 600, 43).points
     parent = walk_bits(points, sphere(), riesz(-1.0))
-    assert potentials._pool is not None
+    assert potentials._helpers.cache_info().currsize == 1
     context = multiprocessing.get_context("fork")
     results = context.Queue()
     child = context.Process(target=send_walk_bits, args=(points, results))
@@ -554,6 +586,40 @@ def test_forked_child_walks_on_its_own_threads(monkeypatch):
         if child.is_alive():
             child.kill()
             child.join(timeout=10)
+
+
+ONE_CPU_WALK = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import gsaudit
+assert "concurrent.futures" not in sys.modules, "import gsaudit loaded concurrent.futures"
+from gsaudit import potentials
+from gsaudit.geometry import random_configuration, sphere
+from gsaudit.potentials import energy_gradient_of_points, riesz, total_energy_of_points
+assert potentials._THREADS == 1, potentials._THREADS
+assert len(potentials._blocks(600)) == 4
+points = random_configuration(sphere(), 600, 45).points
+before = threading.active_count()
+energy, grad = energy_gradient_of_points(points, sphere(), riesz(-1.0))
+exact = total_energy_of_points(points, sphere(), riesz(-1.0))
+assert threading.active_count() == before, "a walk started a thread"
+assert potentials._helpers.cache_info().currsize == 0, "a walk started a pool"
+assert "concurrent.futures" not in sys.modules, "a walk loaded concurrent.futures"
+print(exact.hex(), energy.hex(), grad.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_one_cpu_walks_on_the_calling_thread(threads):
+    # _THREADS as computed at import, in a process pinned to one CPU first.
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_WALK], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    exact, energy, grad = proc.stdout.split()
+    threads(1)
+    points = random_configuration(sphere(), 600, 45).points
+    assert (exact, energy, bytes.fromhex(grad)) == walk_bits(points, sphere(), riesz(-1.0))
 
 
 @pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
