@@ -30,23 +30,21 @@ from .potentials import (
     total_energy,
 )
 from .table import EnergyTable, TableMetadata, pair_specific, parse_table, table_digest, write_table
-from .audit import (
-    AuditReport,
-    ImprovedBound,
-    Violation,
+from .audit import AuditReport, ImprovedBound, Violation, improved_upper_bound, monotonicity_audit
+from .optimizer import (
+    OptimizerSettings,
+    RunResult,
     brute_force_monotonicity_check,
-    improved_upper_bound,
-    monotonicity_audit,
+    build_table,
+    local_minimize,
+    multistart,
 )
-from .optimizer import OptimizerSettings, RunResult, build_table, local_minimize, multistart
 from .asymptotics import (
     AsymptoticModel,
-    compute_b_coefficient,
     log_sphere_model,
     model_energy,
     pair_specific_model,
     thomson_sphere_model,
-    zeta_alternating,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "Violation",
     "brute_force_monotonicity_check",
     "build_table",
-    "compute_b_coefficient",
     "coulomb",
     "energy_gradient",
     "free3",
@@ -88,7 +85,6 @@ __all__ = [
     "torus",
     "total_energy",
     "write_table",
-    "zeta_alternating",
 ]
 
 __version__ = "0.1.0"

@@ -8,19 +8,15 @@ like a*N^2 + b*N^(3/2) with a = 1/2 proven and
     b = 3 * sqrt(sqrt(3)/(8 pi)) * zeta(1/2)
           * sum_{k>=0} (1/sqrt(3k+1) - 1/sqrt(3k+2))  ~  -0.55305
 
-The k-sum is frozen at its closed form, (zeta(1/2, 1/3) - zeta(1/2, 2/3)) /
-sqrt(3) with Hurwitz zeta values.  The zeta value is computed internally from
-the alternating (eta) series with Euler acceleration rather than hard-coding
-a constant, which keeps the module self-verifying against an independent
-direct summation.
+Both zeta(1/2) and b are frozen constants, mpmath's 40-digit values rounded
+to doubles; the tests check b against an independent direct summation of
+the zeta series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .table import EnergyTable, pair_specific
 from .geometry import SPHERE
@@ -29,48 +25,18 @@ from .potentials import LOG, RIESZ, PotentialSpec
 LOG_SPHERE = "log-sphere"
 THOMSON_SPHERE = "thomson-sphere"
 
-_FAMILIES = (LOG_SPHERE, THOMSON_SPHERE)
-
 # Closed-form leading coefficients of the log-sphere expansion.
 A_LOG_SPHERE = 0.25 * math.log(math.e / 4.0)
 B_LOG_SPHERE = -0.25
 
 A_THOMSON = 0.5
 
-# The k-sum factor of the 1/r N^(3/2) coefficient,
-#   sum_{k>=0} (1/sqrt(3k+1) - 1/sqrt(3k+2)) = (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
-# with Hurwitz zeta values, evaluated at 40 digits with mpmath.
-_K_SUM = 0.48086755769682865
+# zeta(1/2): mpmath.zeta(0.5) at 40 digits, rounded to a double.
+ZETA_HALF = -1.4603545088095868
 
-
-def zeta_alternating(s: float) -> float:
-    """Riemann zeta for s in (0, 1) via the eta identity with Euler acceleration.
-
-    zeta(s) = eta(s) / (1 - 2^(1-s)) where eta(s) = sum (-1)^k (k+1)^(-s).
-    The alternating series is summed by repeated forward differencing of the
-    completely monotone term sequence (all differences stay positive, so the
-    scheme is cancellation-free); each differencing level contributes
-    diff[0] / 2^(n+1), which decays geometrically — about 35 levels reach
-    1e-11.  Summation stops at the first level below 1e-14, or at 400 terms.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError("this evaluation path is tuned for s in (0, 1)")
-    terms = np.arange(1, 402, dtype=float) ** -s
-    total = terms[0] / 2.0
-    diffs = terms
-    for level in range(1, 400):
-        diffs = diffs[:-1] - diffs[1:]
-        contribution = diffs[0] / 2.0 ** (level + 1)
-        total += contribution
-        if contribution < 1e-14:
-            break
-    return float(total / (1.0 - 2.0 ** (1.0 - s)))
-
-
-def compute_b_coefficient() -> float:
-    """The N^(3/2) coefficient of the 1/r sphere expansion, ~ -0.55305."""
-    prefactor = 3.0 * math.sqrt(math.sqrt(3.0) / (8.0 * math.pi))
-    return prefactor * zeta_alternating(0.5) * _K_SUM
+# b above, with the k-sum in Hurwitz zeta values: 3 * sqrt(sqrt(3)/(8 pi)) * mpmath.zeta(0.5)
+#   * (mpmath.zeta(0.5, 1/3) - mpmath.zeta(0.5, 2/3)) / sqrt(3) at 40 digits, rounded to a double.
+B_THOMSON = -0.5530512933575952
 
 
 @dataclass(frozen=True)
@@ -82,8 +48,8 @@ class AsymptoticModel:
     b: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}; expected one of {_FAMILIES}")
+        if self.family not in MODELS:
+            raise ValueError(f"unknown model family {self.family!r}; expected one of {[*MODELS]}")
 
 
 def log_sphere_model() -> AsymptoticModel:
@@ -92,8 +58,12 @@ def log_sphere_model() -> AsymptoticModel:
 
 
 def thomson_sphere_model() -> AsymptoticModel:
-    """1/r sphere model a*N^2 + b*N^(3/2) with computed b."""
-    return AsymptoticModel(THOMSON_SPHERE, a=A_THOMSON, b=compute_b_coefficient())
+    """1/r sphere model a*N^2 + b*N^(3/2)."""
+    return AsymptoticModel(THOMSON_SPHERE, a=A_THOMSON, b=B_THOMSON)
+
+
+# Each model family's constructor, by family name.
+MODELS = {LOG_SPHERE: log_sphere_model, THOMSON_SPHERE: thomson_sphere_model}
 
 
 def model_energy(model: AsymptoticModel, n: int) -> float:

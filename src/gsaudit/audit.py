@@ -8,10 +8,9 @@ true ground-state energy.  Whenever that happens, scaling the later entry
 back, (N(N-1) / ((N+n)(N+n-1))) * E(N+n), is a valid upper bound on the true
 energy at N that beats the recorded value.
 
-This module implements the audit over all index pairs, the improved upper
-bounds with their witnesses, and a brute-force small-N verification of the
-monotonicity law using the multistart optimizer as an oracle.  The table
-itself, its file format and its digest live in :mod:`gsaudit.table`.
+This module implements the audit over all index pairs and the improved
+upper bounds with their witnesses.  The table itself, its file format and its
+digest live in :mod:`gsaudit.table`.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DomainSpec
-from .optimizer import multistart
-from .potentials import PotentialSpec
 from .table import EnergyTable, pair_specific, table_digest
 from .table import TableMetadata  # noqa: F401  (perfbench/workloads.py imports it from here)
 
@@ -131,50 +127,3 @@ def monotonicity_audit(table: EnergyTable, tolerance: float | None = None) -> Au
         table_digest=table_digest(table),
     )
 
-
-@dataclass(frozen=True)
-class SmallNRow:
-    n: int
-    energy: float
-    pair_specific: float
-
-
-@dataclass(frozen=True)
-class SmallNCheckReport:
-    """Outcome of the brute-force small-N verification.
-
-    ``eps_strictly_increasing`` checks the pair-specific sequence itself.  The
-    per-step law E(N+1) >= ((N+1)/(N-1)) * E(N) is the same inequality
-    multiplied by N(N+1), so this one flag is the whole verdict.
-    """
-
-    rows: tuple[SmallNRow, ...]
-    eps_strictly_increasing: bool
-
-
-def brute_force_monotonicity_check(
-    domain: DomainSpec,
-    pot: PotentialSpec,
-    n_max: int,
-    settings,
-) -> SmallNCheckReport:
-    """Estimate ground-state energies for N = 2..n_max and verify monotonicity.
-
-    Uses heavy multistart minimization as the oracle; the restart budget must
-    be at least 100 * n_max so that small-N global minima are found with
-    overwhelming probability.  n_max is capped at 8, the range where that
-    confidence argument holds at desk scale.
-    """
-    if not 2 <= n_max <= 8:
-        raise ValueError("n_max must lie in [2, 8]")
-    if settings.restarts < 100 * n_max:
-        raise ValueError(
-            f"restart budget too small: need at least {100 * n_max} restarts "
-            f"for n_max={n_max}, got {settings.restarts}"
-        )
-    rows = []
-    for n in range(2, n_max + 1):
-        result = multistart(domain, pot, n, settings)
-        rows.append(SmallNRow(n, result.energy, pair_specific(n, result.energy)))
-    eps_ok = all(b.pair_specific > a.pair_specific for a, b in zip(rows, rows[1:]))
-    return SmallNCheckReport(tuple(rows), eps_ok)

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import asymptotics
-from .audit import AuditReport, brute_force_monotonicity_check, monotonicity_audit
-from .optimizer import OptimizerSettings, build_table
+from .audit import AuditReport, monotonicity_audit
+from .optimizer import OptimizerSettings, brute_force_monotonicity_check, build_table
 from .table import (
     DOMAIN_TOKENS,
     POTENTIAL_TOKENS,
@@ -118,10 +118,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_asymptote(args: argparse.Namespace) -> int:
     table = parse_table(args.input, allow_empty=True)
-    if args.model == asymptotics.LOG_SPHERE:
-        model = asymptotics.log_sphere_model()
-    else:
-        model = asymptotics.thomson_sphere_model()
+    model = asymptotics.MODELS[args.model]()
     asymptotics.check_model_compatibility(table, model)
     data_rows = table.counts()
     model_rows = parse_n_range(args.n) if args.n else data_rows
@@ -142,8 +139,9 @@ def _cmd_small_n_check(args: argparse.Namespace) -> int:
     restarts = args.restarts if args.restarts is not None else 100 * args.n_max
     settings = OptimizerSettings(restarts=restarts, seed=args.seed)
     report = brute_force_monotonicity_check(domain, pot, args.n_max, settings)
-    for row in report.rows:
-        print(f"N={row.n} energy={row.energy!r} eps={row.pair_specific!r}")
+    table = report.table
+    for n in table.counts():
+        print(f"N={n} energy={table.energy(n)!r} eps={table.pair_specific(n)!r}")
     print(f"pair-specific sequence strictly increasing: {report.eps_strictly_increasing}")
     return 0 if report.eps_strictly_increasing else 1
 
@@ -166,19 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--format", choices=("text", "records"), default="text")
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_opt = sub.add_parser("optimize", help="produce a candidate energy table")
-    p_opt.add_argument("--domain", required=True, help=DOMAIN_TOKENS)
-    p_opt.add_argument("--potential", required=True, help=POTENTIAL_TOKENS)
+    # The optimizing commands' problem and seed options.
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--domain", required=True, help=DOMAIN_TOKENS)
+    problem.add_argument("--potential", required=True, help=POTENTIAL_TOKENS)
+    problem.add_argument("--seed", type=int, default=0)
+
+    p_opt = sub.add_parser("optimize", parents=[problem], help="produce a candidate energy table")
     p_opt.add_argument("--n", required=True, help="counts, e.g. 2-6 or 2,3,12")
     p_opt.add_argument("--restarts", type=int, default=50)
-    p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", required=True, help="output table file")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_asy = sub.add_parser("asymptote", help="emit plot data: table vs large-N model")
-    p_asy.add_argument(
-        "--model", required=True, choices=(asymptotics.LOG_SPHERE, asymptotics.THOMSON_SPHERE)
-    )
+    p_asy.add_argument("--model", required=True, choices=asymptotics.MODELS)
     p_asy.add_argument("--input", required=True, help="table file")
     p_asy.add_argument("--out", required=True, help="output prefix for -data.dat/-model.dat")
     p_asy.add_argument(
@@ -187,15 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_asy.set_defaults(func=_cmd_asymptote)
 
     p_small = sub.add_parser(
-        "prop1-check", help="brute-force small-N verification of the monotonicity law"
+        "prop1-check", parents=[problem],
+        help="brute-force small-N verification of the monotonicity law",
     )
-    p_small.add_argument("--domain", required=True, help=DOMAIN_TOKENS)
-    p_small.add_argument("--potential", required=True, help=POTENTIAL_TOKENS)
     p_small.add_argument("--n-max", type=int, required=True, help="largest N, at most 8")
     p_small.add_argument(
         "--restarts", type=int, default=None, help="restart budget (default 100*n_max)"
     )
-    p_small.add_argument("--seed", type=int, default=0)
     p_small.set_defaults(func=_cmd_small_n_check)
 
     return parser

@@ -29,12 +29,16 @@ Restart r of a multistart run draws its starting configuration from a seed
 derived as SeedSequence(seed, spawn_key=r), so results are independent of
 execution order and identical across processes; ties between restarts
 (energies within 1e-14) go to the lowest restart index.
+
+The brute-force small-N check builds the table for N = 2..n_max with a heavy
+restart budget and tests that its pair-specific energy strictly increases.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -72,6 +76,16 @@ _BB_GROW = 1e3
 _LBFGS_MEMORY = 8
 
 
+def _check_count(name: str, value) -> None:
+    """Require an integer (numpy integers included) of at least 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for local search and multistart.
@@ -91,12 +105,11 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        _check_count("restarts", self.restarts)
         if not 0.0 < self.gradient_tolerance < math.inf:
             raise ValueError("gradient_tolerance must be positive and finite")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            _check_count("max_iterations", self.max_iterations)
 
     def resolved(self, n: int) -> tuple[int, float]:
         max_iter = self.max_iterations if self.max_iterations is not None else 50 * n
@@ -271,3 +284,38 @@ def build_table(
             )
         table.add(n, result.energy, label=label)
     return table
+
+
+@dataclass(frozen=True)
+class SmallNCheckReport:
+    """Outcome of the brute-force small-N verification: the table for N = 2..n_max.
+
+    ``eps_strictly_increasing`` checks its pair-specific sequence.  The per-step
+    law E(N+1) >= ((N+1)/(N-1)) * E(N) is the same inequality multiplied by
+    N(N+1), so this one flag is the whole verdict.
+    """
+
+    table: EnergyTable
+    eps_strictly_increasing: bool
+
+
+def brute_force_monotonicity_check(
+    domain: DomainSpec, pot: PotentialSpec, n_max: int, settings: OptimizerSettings
+) -> SmallNCheckReport:
+    """Estimate ground-state energies for N = 2..n_max and verify monotonicity.
+
+    Uses heavy multistart minimization as the oracle; the restart budget must
+    be at least 100 * n_max so that small-N global minima are found with
+    overwhelming probability.  n_max is capped at 8, the range where that
+    confidence argument holds at desk scale.
+    """
+    if not 2 <= n_max <= 8:
+        raise ValueError("n_max must lie in [2, 8]")
+    if settings.restarts < 100 * n_max:
+        raise ValueError(
+            f"restart budget too small: need at least {100 * n_max} restarts "
+            f"for n_max={n_max}, got {settings.restarts}"
+        )
+    table = build_table(domain, pot, list(range(2, n_max + 1)), settings)
+    eps = [table.pair_specific(n) for n in table.counts()]
+    return SmallNCheckReport(table, all(b > a for a, b in zip(eps, eps[1:])))

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from gsaudit import fixture_path
-from gsaudit.asymptotics import compute_b_coefficient, log_sphere_model, pair_specific_model, zeta_alternating
-from gsaudit.audit import brute_force_monotonicity_check, monotonicity_audit, pair_specific, table_digest
+from gsaudit.asymptotics import B_THOMSON, ZETA_HALF, log_sphere_model, pair_specific_model
+from gsaudit.audit import monotonicity_audit, pair_specific, table_digest
 from gsaudit.cli import main, parse_table, write_table
 from gsaudit.geometry import free3, random_configuration, retract_points, sphere, tangent_project_points, torus
-from gsaudit.optimizer import OptimizerSettings, build_table, multistart
+from gsaudit.optimizer import OptimizerSettings, brute_force_monotonicity_check, build_table, multistart
 from gsaudit.potentials import (
     coulomb,
     energy_gradient,
@@ -142,7 +142,7 @@ def test_criterion_5_small_n_monotonicity_property(report):
     for pot, name in [(riesz(-1.0), "1/r"), (log_coulomb(), "log")]:
         result = brute_force_monotonicity_check(sphere(), pot, 6, settings)
         checks.append(result.eps_strictly_increasing)
-        eps = ", ".join(f"{row.pair_specific:.5f}" for row in result.rows)
+        eps = ", ".join(f"{result.table.pair_specific(n):.5f}" for n in result.table.counts())
         details.append(f"{name}: eps=[{eps}]")
     elapsed = time.perf_counter() - start
     checks.append(elapsed < 120.0)
@@ -162,8 +162,8 @@ def zeta_direct_summation(s: float, terms: int = 4000) -> float:
 
 def test_criterion_6_series_coefficient(report):
     start = time.perf_counter()
-    b = compute_b_coefficient()
-    zeta_half = zeta_alternating(0.5)
+    b = B_THOMSON
+    zeta_half = ZETA_HALF
     oracle = zeta_direct_summation(0.5)
     elapsed = time.perf_counter() - start
     checks = [

@@ -7,14 +7,14 @@ from gsaudit.asymptotics import (
     A_LOG_SPHERE,
     LOG_SPHERE,
     THOMSON_SPHERE,
+    B_THOMSON,
+    ZETA_HALF,
     AsymptoticModel,
     check_model_compatibility,
-    compute_b_coefficient,
     log_sphere_model,
     model_energy,
     pair_specific_model,
     thomson_sphere_model,
-    zeta_alternating,
 )
 from gsaudit.audit import EnergyTable, TableMetadata
 from gsaudit.cli import parse_table
@@ -26,10 +26,10 @@ from gsaudit.potentials import coulomb, log_coulomb, riesz
 B_CLOSED_FORM = -0.5530512933575952
 
 
-def zeta_direct_summation(s: float, terms: int = 4000) -> float:
+def hurwitz_direct_summation(s: float, q: float = 1.0, terms: int = 4000) -> float:
     """Independent oracle: direct power sums with Euler-Maclaurin tail corrections."""
-    total = math.fsum(k ** -s for k in range(1, terms))
-    m = float(terms)
+    total = math.fsum((k + q) ** -s for k in range(terms))
+    m = terms + q
     total += m ** (1.0 - s) / (s - 1.0)
     total += 0.5 * m ** -s
     total += s * m ** (-s - 1.0) / 12.0
@@ -37,30 +37,30 @@ def zeta_direct_summation(s: float, terms: int = 4000) -> float:
     return total
 
 
+def zeta_direct_summation(s: float, terms: int = 4000) -> float:
+    return hurwitz_direct_summation(s, 1.0, terms)
+
+
 class TestZeta:
     def test_half_against_direct_summation(self):
-        assert zeta_alternating(0.5) == pytest.approx(zeta_direct_summation(0.5), abs=1e-10)
+        assert ZETA_HALF == pytest.approx(zeta_direct_summation(0.5), abs=1e-10)
 
     def test_half_frozen_value(self):
-        assert zeta_alternating(0.5) == pytest.approx(-1.4603545088095868, abs=1e-9)
-
-    def test_other_exponents_against_oracle(self):
-        for s in (0.25, 0.75, 0.9):
-            assert zeta_alternating(s) == pytest.approx(zeta_direct_summation(s), abs=1e-9)
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            zeta_alternating(1.0)
-        with pytest.raises(ValueError):
-            zeta_alternating(0.0)
+        assert ZETA_HALF == pytest.approx(-1.4603545088095868, abs=1e-9)
 
 
 class TestBCoefficient:
     def test_published_value(self):
-        assert compute_b_coefficient() == pytest.approx(-0.55305, abs=1e-4)
+        assert B_THOMSON == pytest.approx(-0.55305, abs=1e-4)
 
     def test_closed_form(self):
-        assert compute_b_coefficient() == pytest.approx(B_CLOSED_FORM, abs=1e-13)
+        assert B_THOMSON == pytest.approx(B_CLOSED_FORM, abs=1e-13)
+
+    def test_against_direct_summation(self):
+        k_sum = (hurwitz_direct_summation(0.5, 1.0 / 3.0)
+                 - hurwitz_direct_summation(0.5, 2.0 / 3.0)) / math.sqrt(3.0)
+        prefactor = 3.0 * math.sqrt(math.sqrt(3.0) / (8.0 * math.pi))
+        assert B_THOMSON == pytest.approx(prefactor * zeta_direct_summation(0.5) * k_sum, abs=1e-12)
 
 
 class TestModels:
@@ -73,6 +73,7 @@ class TestModels:
         m = thomson_sphere_model()
         assert m.a == 0.5
         assert m.b == pytest.approx(-0.55305, abs=1e-4)
+        assert m.b == B_THOMSON
 
     def test_thomson_two_term_at_four(self):
         m = thomson_sphere_model()

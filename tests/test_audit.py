@@ -1,23 +1,22 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsaudit.audit
 from gsaudit import fixture_path
 from gsaudit.audit import (
     EnergyTable,
     RELATIVE_TOLERANCE_BASE,
-    brute_force_monotonicity_check,
     improved_upper_bound,
     monotonicity_audit,
     pair_specific,
     table_digest,
 )
 from gsaudit.cli import parse_table
-from gsaudit.geometry import sphere
-from gsaudit.optimizer import OptimizerSettings
-from gsaudit.potentials import log_coulomb, riesz
 
 
 def make_table(rows):
@@ -240,37 +239,15 @@ class TestDerivedTailFixture:
         assert bound.bound == pytest.approx(1954640.745, abs=2e-3)
 
 
-class TestBruteForceSmallN:
-    def test_n_max_range_enforced(self):
-        settings = OptimizerSettings(restarts=1000)
-        for bad in (1, 9):
-            with pytest.raises(ValueError):
-                brute_force_monotonicity_check(sphere(), riesz(-1.0), bad, settings)
 
-    def test_budget_enforced(self):
-        settings = OptimizerSettings(restarts=299)
-        with pytest.raises(ValueError):
-            brute_force_monotonicity_check(sphere(), riesz(-1.0), 3, settings)
-
-    def test_n_max_two_is_vacuous(self):
-        settings = OptimizerSettings(restarts=200, seed=0)
-        report = brute_force_monotonicity_check(sphere(), riesz(-1.0), 2, settings)
-        assert report.eps_strictly_increasing
-        assert len(report.rows) == 1
-        assert report.rows[0].energy == pytest.approx(0.5, abs=1e-9)
-
-    def test_inverse_r_up_to_three(self):
-        settings = OptimizerSettings(restarts=300, seed=1)
-        report = brute_force_monotonicity_check(sphere(), riesz(-1.0), 3, settings)
-        assert report.eps_strictly_increasing
-        eps = [r.pair_specific for r in report.rows]
-        assert eps[0] == pytest.approx(0.25, abs=1e-9)
-        assert eps[1] == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-9)
-
-    def test_log_kernel_step_bound(self):
-        settings = OptimizerSettings(restarts=300, seed=2)
-        report = brute_force_monotonicity_check(sphere(), log_coulomb(), 3, settings)
-        assert report.eps_strictly_increasing
-        assert report.rows[0].pair_specific == pytest.approx(-math.log(2.0) / 2.0, abs=1e-9)
-        # the same law in its per-step form: E(3) >= 3 * E(2) = -3 ln 2
-        assert report.rows[1].energy >= 3.0 * report.rows[0].energy
+def test_audit_module_imports_only_the_table():
+    """The audit is a pure table property: no optimizer, geometry or kernels."""
+    path = Path(gsaudit.audit.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gsaudit")):
+            package_imports.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package_imports.update(a.name for a in node.names if a.name.startswith("gsaudit"))
+    assert package_imports == {".table"}

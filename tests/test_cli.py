@@ -429,6 +429,16 @@ class TestSmallNCheckCommand:
         out = capsys.readouterr().out
         assert "eps=-0.34657" in out
 
+    def test_log_kernel_output_is_pinned(self, capsys):
+        rc = main(["prop1-check", "--domain", "sphere", "--potential", "log",
+                   "--n-max", "3", "--seed", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "N=2 energy=-0.693147180559944 eps=-0.346573590279972\n"
+            "N=3 energy=-1.6479184330021646 eps=-0.27465307216702745\n"
+            "pair-specific sequence strictly increasing: True\n"
+        )
+
     def test_n_max_capped(self, capsys):
         rc = main(["prop1-check", "--domain", "sphere", "--potential", "log",
                    "--n-max", "9"])

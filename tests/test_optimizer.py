@@ -18,6 +18,7 @@ from gsaudit.geometry import (
 from gsaudit.table import format_table
 from gsaudit.optimizer import (
     OptimizerSettings,
+    brute_force_monotonicity_check,
     build_table,
     derived_seed,
     local_minimize,
@@ -97,6 +98,17 @@ class TestSettings:
                 OptimizerSettings(gradient_tolerance=tolerance)
         with pytest.raises(ValueError):
             OptimizerSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerSettings(**{field: value})
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations"])
+    def test_numpy_integer_counts_pass(self, field):
+        settings = OptimizerSettings(**{field: np.int64(3)})
+        assert multistart(sphere(), log_coulomb(), 3, settings).energy < 0.0
 
     def test_size_dependent_defaults(self):
         s = OptimizerSettings()
@@ -420,3 +432,46 @@ class TestBuildTable:
     def test_rows_below_two_rejected(self):
         with pytest.raises(ValueError):
             build_table(sphere(), INVERSE_R, [1, 2], OptimizerSettings())
+
+
+class TestBruteForceSmallN:
+    def test_n_max_range_enforced(self):
+        settings = OptimizerSettings(restarts=1000)
+        for bad in (1, 9):
+            with pytest.raises(ValueError):
+                brute_force_monotonicity_check(sphere(), INVERSE_R, bad, settings)
+
+    def test_budget_enforced(self):
+        settings = OptimizerSettings(restarts=299)
+        with pytest.raises(ValueError):
+            brute_force_monotonicity_check(sphere(), INVERSE_R, 3, settings)
+
+    def test_n_max_two_is_vacuous(self):
+        settings = OptimizerSettings(restarts=200, seed=0)
+        report = brute_force_monotonicity_check(sphere(), INVERSE_R, 2, settings)
+        assert report.eps_strictly_increasing
+        assert report.table.counts() == [2]
+        assert report.table.energy(2) == pytest.approx(0.5, abs=1e-9)
+
+    def test_inverse_r_up_to_three(self):
+        settings = OptimizerSettings(restarts=300, seed=1)
+        report = brute_force_monotonicity_check(sphere(), INVERSE_R, 3, settings)
+        assert report.eps_strictly_increasing
+        eps = [report.table.pair_specific(n) for n in report.table.counts()]
+        assert eps[0] == pytest.approx(0.25, abs=1e-9)
+        assert eps[1] == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-9)
+
+    def test_log_kernel_step_bound(self):
+        settings = OptimizerSettings(restarts=300, seed=2)
+        report = brute_force_monotonicity_check(sphere(), log_coulomb(), 3, settings)
+        assert report.eps_strictly_increasing
+        assert report.table.pair_specific(2) == pytest.approx(-math.log(2.0) / 2.0, abs=1e-9)
+        # the same law in its per-step form: E(3) >= 3 * E(2) = -3 ln 2
+        assert report.table.energy(3) >= 3.0 * report.table.energy(2)
+
+    def test_table_is_build_tables(self):
+        settings = OptimizerSettings(restarts=300, seed=1)
+        report = brute_force_monotonicity_check(sphere(), INVERSE_R, 3, settings)
+        table = build_table(sphere(), INVERSE_R, [2, 3], settings)
+        assert report.table.entries == table.entries
+        assert format_table(report.table) == format_table(table)
