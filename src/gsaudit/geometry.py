@@ -160,7 +160,11 @@ def tangent_project_points(
 
 
 def _reduce_angle(a: np.ndarray) -> np.ndarray:
-    return np.mod(a, TWO_PI)
+    """Angles a in [0, 2 pi).  A tiny negative angle reduces to 2 pi - |a|,
+    which rounds to 2 pi itself: that is the angle 0."""
+    reduced = np.mod(a, TWO_PI)
+    reduced[reduced == TWO_PI] = 0.0
+    return reduced
 
 
 def retract_points(points: np.ndarray, steps: np.ndarray, domain: DomainSpec) -> np.ndarray:

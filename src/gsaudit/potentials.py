@@ -26,11 +26,14 @@ matrix, each from its own diagonal on.  A block takes as many rows as fit in
 512 KB, so the blocks are about equal in size; memory is O(N) and no (N, N)
 array is ever formed.  Only the pairs among a block's own rows are visited
 in both directions; the gradient applies the weight U'(r)/r of every other
-pair, visited once, to both of its ends.  A walk of two or more blocks
-(N > 256) runs on the calling thread and the helpers of one cached pool,
-started by the first such walk and kept, one thread per usable CPU up to
-two; each block's results are reduced in block order, so every result is
-bit for bit the same whatever the number of threads.
+pair, visited once, to both of its ends.  Each step of a block is one numpy
+call over the whole block: each coordinate's differences and each side's
+weighted sums are BLAS products, whose bits do not depend on the number of
+BLAS threads, and the exact energy's walk computes no weights.  A walk of
+two or more blocks (N > 256) runs on the calling thread and the helpers of
+one cached pool, started by the first such walk and kept, one thread per
+usable CPU up to two; each block's results are reduced in block order, so
+every result is bit for bit the same whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -110,26 +113,31 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
-def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(
+    pot: PotentialSpec, r2: np.ndarray, u: np.ndarray, weights: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """U(r) and U'(r)/r at squared separations r2 >= 0, as ``(u, w)``.
 
     The one place where each kernel's value and derivative are written.  U
-    goes into the buffer u and the weight w over r2 itself.  At r2 = 0 the
-    math gives the kernel's limit: U is +inf, or -0.0 for the power law with
-    0 < s < 2, and w is +-inf or nan.  Callers silence the divide, overflow
-    and invalid warnings on the way.
+    goes into the buffer u and the weight w over r2 itself; without
+    ``weights``, r2 is returned as it is.  At r2 = 0 the math gives the
+    kernel's limit: U is +inf, or -0.0 for the power law with 0 < s < 2, and
+    w is +-inf or nan.  Callers silence the divide, overflow and invalid
+    warnings on the way.
     """
     if pot.kind == LOG:
         np.log(r2, out=u)
         u *= -0.5
-        np.divide(-1.0, r2, out=r2)
+        if weights:
+            np.divide(-1.0, r2, out=r2)
     elif pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
         inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
         inv12 = inv6 * inv6
         np.subtract(inv12, inv6, out=u)
-        np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
+        if weights:
+            np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
     else:
         # For s below about -1.9, r^s overflows at the tiniest r2; +inf is
         # then the energy of the pair.  U'(r)/r = s U / r2 takes no second
@@ -143,8 +151,9 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
             np.power(r2, 0.5 * s, out=u)
             if s > 0.0:
                 np.negative(u, out=u)
-        np.divide(u, r2, out=r2)
-        r2 *= s
+        if weights:
+            np.divide(u, r2, out=r2)
+            r2 *= s
     return u, r2
 
 
@@ -156,10 +165,17 @@ def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
 # their cost swung with the memory traffic of everything else on the machine.
 _BLOCK_ELEMENTS = 1 << 16
 
+# The lower triangle, diagonal included, of the largest square a block can
+# lead with (m rows hold m * (N - a) >= m^2 pairs): its top-left m x m
+# corner masks the square of every block of m rows.
+_LOWER = np.tri(math.isqrt(_BLOCK_ELEMENTS), dtype=bool)
+
 # Threads that walk the blocks of one call, the calling thread included: the
-# usable CPUs, at most _MAX_THREADS.  More than two have not been measured;
-# on two cores the second thread makes a 1/r walk at N = 2048 about 1.4 times
-# as fast, not 2, as each thread's numpy calls wait for the GIL.
+# usable CPUs, at most _MAX_THREADS.  More than two have not been measured.
+# On two cores the second thread makes a 1/r walk at N = 2048 about 1.3 to
+# 1.4 times as fast (about 16 ms against 22 ms), not 2: a few of each
+# block's calls, the reductions and the product of the weights with [x | 1]
+# among them, hold the GIL.
 _MAX_THREADS = 2
 _THREADS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -206,59 +222,86 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _pair_block(cols: list, pot: PotentialSpec, a: int, m: int, buffers: tuple) -> tuple:
+def _ends(x: np.ndarray) -> np.ndarray:
+    """The product operands of a walk over the (N, k) points x, as one (2k + 2, N) array.
+
+    Rows 0 to k - 1 hold the coordinates x_c, rows k and k + 1 ones, and
+    rows k + 2 on the negated coordinates.  So rows c and k are the
+    operand [x_c, 1] of :func:`_pair_block`, rows k + 1 and k + 2 + c its
+    [1; -x_c], and rows 0 to k, transposed, the [x | 1] of the gradient.
+    """
+    n, k = x.shape
+    ends = np.empty((2 * k + 2, n))
+    ends[:k] = x.T
+    ends[k : k + 2] = 1.0
+    np.negative(x.T, out=ends[k + 2 :])
+    return ends
+
+
+def _pair_block(ends: np.ndarray, pot: PotentialSpec, a: int, m: int, buffers: tuple,
+                weights: bool) -> tuple:
     """Kernel values and weights ``(u, w)`` of the m rows from row a on.
 
     The block holds the pairs of rows a <= i < a + m with themselves and
-    later rows; ``cols`` holds the coordinate columns of the N points.
-    ``u[k, j]`` and ``w[k, j]`` are :func:`_kernel` at the squared distance
-    from row a + k to row a + j, with the diagonal zeroed.  The block's
-    leading square holds its own rows' pairs in both directions; the columns
-    right of it hold each pair with a later row once.  Each squared distance
-    is built from direct differences one coordinate at a time, so the square
-    is exactly symmetric, and a pair of identical rows gives an exact zero.
+    later rows; ``ends`` holds the operands of :func:`_ends`.  ``u[k, j]`` and
+    ``w[k, j]`` are :func:`_kernel` at the squared distance from row a + k to
+    row a + j.  ``w``'s leading square holds its own rows' pairs in both
+    directions, with its diagonal zeroed; in ``u`` the square's lower
+    triangle and diagonal are zeroed, so u holds each pair once.  The
+    columns right of the square hold each pair with a later row once.
+    Without ``weights``, w is the block's squared distances, left for the
+    caller to overwrite.
+
+    Each coordinate's differences x_i - x_j are one BLAS product with inner
+    dimension 2, [x_i, 1] @ [1; -x_j]: both of its products are exact, so
+    their sum rounds once, to the bits of the subtraction.  So the square is
+    exactly symmetric, and a pair of identical rows gives an exact zero.
     ``u`` and ``w`` are views of the two flat ``buffers``.
     """
-    first, *rest = cols
-    n = len(first)
+    k = len(ends) // 2 - 1
+    n = ends.shape[1]
     r2 = buffers[0][: m * (n - a)].reshape(m, n - a)
     d = buffers[1][: r2.size].reshape(r2.shape)
-    np.subtract(first[a : a + m, None], first[a:], out=r2)
-    r2 *= r2
-    for col in rest:
-        np.subtract(col[a : a + m, None], col[a:], out=d)
-        d *= d
-        r2 += d
+    for c in range(k):
+        diff = d if c else r2
+        np.matmul(ends[c : k + 1 : k - c, a : a + m].T, ends[k + 1 : k + 3 + c : c + 1, a:],
+                  out=diff)
+        diff *= diff
+        if c:
+            r2 += d
     np.fill_diagonal(r2, 1.0)
-    u, w = _kernel(pot, r2, d)
-    np.fill_diagonal(u, 0.0)
-    np.fill_diagonal(w, 0.0)
+    u, w = _kernel(pot, r2, d, weights)
+    np.copyto(u[:, :m], 0.0, where=_LOWER[:m, :m])
+    if weights:
+        np.fill_diagonal(w, 0.0)
     return u, w
 
 
-def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
-    """Call ``reduce(visit(a, u, w))`` for each row block of the pair matrix of x, in order.
+def _walk(ends: np.ndarray, pot: PotentialSpec, visit, reduce, weights: bool = True) -> None:
+    """Call ``reduce(visit(a, u, w))`` for each row block of a pair matrix, in order.
 
-    The blocks are those of :func:`_blocks`, as :func:`_pair_block` makes
-    them; u and w are valid until visit returns.  A walk of two or more
-    blocks runs visit on up to ``_THREADS`` threads, the calling one
-    included, each with its own buffers, as large as the largest block.  A
-    block's result is reduced as soon as every earlier block's has been, by
-    whichever thread completes that prefix, under a lock; so reduce sees the
-    blocks in order, one at a time, and the outcome does not depend on the
-    number of threads.  The caller silences numpy's divide, overflow and
-    invalid warnings for its own thread; the helper threads of
-    :func:`_helpers` run with them silenced.
+    The matrix is that of the points whose operands :func:`_ends` made
+    ``ends``.  The blocks are those of :func:`_blocks`, as
+    :func:`_pair_block` makes them, with or without ``weights``; u and w are
+    valid until visit returns.  A walk of two or more blocks runs visit on
+    up to ``_THREADS`` threads, the calling one included, each with its own
+    buffers, as large as the largest block.  A block's result is reduced as soon as every
+    earlier block's has been, by whichever thread completes that prefix,
+    under a lock; so reduce sees the blocks in order, one at a time, and the
+    outcome does not depend on the number of threads.  Every step of a
+    block is a numpy call over the whole block, most of them BLAS products
+    and ufuncs that release the GIL, so the threads overlap.  The caller
+    silences numpy's divide, overflow and invalid warnings for its own
+    thread; the helper threads of :func:`_helpers` run with them silenced.
     """
-    n = x.shape[0]
+    n = ends.shape[1]
     blocks = _blocks(n)
     size = max(m * (n - a) for a, m in blocks)
-    cols = list(np.ascontiguousarray(x.T))
     threads = min(_THREADS, len(blocks))
     if threads == 1:
         buffers = np.empty(size), np.empty(size)
         for a, m in blocks:
-            reduce(visit(a, *_pair_block(cols, pot, a, m, buffers)))
+            reduce(visit(a, *_pair_block(ends, pot, a, m, buffers, weights)))
         return
 
     lock = threading.Lock()
@@ -275,7 +318,7 @@ def _walk(x: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
             if claimed is None:
                 return
             k, (a, m) = claimed
-            result = visit(a, *_pair_block(cols, pot, a, m, buffers))
+            result = visit(a, *_pair_block(ends, pot, a, m, buffers, weights))
             with lock:
                 results[k] = result
                 while reduced < len(results) and results[reduced] is not None:
@@ -302,14 +345,15 @@ def _exact_sum_terms(u: np.ndarray, h: np.ndarray) -> list[float]:
     sigma rounds each entry to a grid of sigma * 2^-53, so every partial sum
     of h is exact and ``np.sum(h)`` is exact in any order; u - h is exact
     too.  Each round peels off the leading 53 - log2(2 * size) bits of every
-    entry, and rounds repeat until nothing is left.  Entries that are not
-    finite, or whose sigma would overflow, are returned as they are.  u is
-    overwritten, and h, an array of u's shape, is working space.
+    entry, and rounds repeat until nothing is left; max|u| is the one
+    reduction a round adds to the sum.  Entries that are not finite, or
+    whose sigma would overflow, are returned as they are.  u is overwritten,
+    and h, an array of u's shape, is working space.
     """
     scale = math.ceil(math.log2(u.size)) + 1
     terms = []
     while True:
-        mu = max(float(np.max(u)), -float(np.min(u)))
+        mu = float(np.max(np.abs(u, out=h)))
         if mu == 0.0:
             return terms
         exponent = scale + math.frexp(mu)[1]
@@ -338,16 +382,11 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     vanishes at r = 0, where the pair adds 0.
     """
     terms = []
-
-    def visit(a, u, w):
-        # Of the block's leading square only the pairs right of the diagonal
-        # count.
-        m = u.shape[0]
-        u[:, :m][np.tri(m, dtype=bool)] = 0.0
-        return _exact_sum_terms(u, w)
-
+    ends = _ends(_embedded(points, domain, pot))
+    # A walk without weights; the block's squared distances are the working
+    # space of the extraction.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _walk(_embedded(points, domain, pot), pot, visit, terms.extend)
+        _walk(ends, pot, lambda a, u, r2: _exact_sum_terms(u, r2), terms.extend, False)
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -380,23 +419,26 @@ def energy_gradient_of_points(
     coincide or a kernel's derivative overflows; nothing here raises on it.
     """
     x = _embedded(points, domain, pot)
-    n = len(x)
+    n, k = x.shape
+    ends = _ends(x)
+    ones_x = ends[: k + 1].T
     energy = 0.0
     grad = np.zeros_like(x)
 
     def visit(a, u, w):
-        # The block's leading square holds each of its pairs twice.  Each row
-        # i of the block takes its pairs with every j >= a; the columns right
-        # of the square also give each later row j its pair with i, which no
-        # later block visits.
+        # u holds each of the block's pairs once.  Each row i of the block
+        # takes w_ij (x_i - x_j) over every j >= a from one product of w
+        # with [x | 1]; the columns right of the square also give each later
+        # row j its pair with i, which no later block visits.
         m = u.shape[0]
         b = a + m
-        own = x[a:b] * w.sum(axis=1)[:, None] - w @ x[a:]
+        e = float(np.sum(u))
+        sums = w @ ones_x[a:]
+        own = x[a:b] * sums[:, k:] - sums[:, :k]
         if b == n:
-            return 0.5 * float(np.sum(u)), a, b, own, None
-        e = 0.5 * float(np.sum(u[:, :m])) + float(np.sum(u[:, m:]))
-        right = w[:, m:]
-        return e, a, b, own, x[b:] * right.sum(axis=0)[:, None] - right.T @ x[a:b]
+            return e, a, b, own, None
+        sums = w[:, m:].T @ ones_x[a:b]
+        return e, a, b, own, x[b:] * sums[:, k:] - sums[:, :k]
 
     def reduce(result):
         nonlocal energy
@@ -410,7 +452,7 @@ def energy_gradient_of_points(
     # with s < 0) can sum past the largest float, and there or at a coincident
     # pair the weights are infinite or nan.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _walk(x, pot, visit, reduce)
+        _walk(ends, pot, visit, reduce)
         return energy, tangent_project_points(points, grad, domain)
 
 

@@ -220,6 +220,13 @@ class TestRetract:
         out = retract_points(pts, np.zeros((10, 3)), torus(1.414))
         assert np.max(np.abs(out - pts)) < 1e-12
 
+    def test_torus_angle_stays_below_two_pi(self):
+        # phi = atan2(-1e-17, R + 1) is a tiny negative angle; np.mod rounds
+        # it up to 2 pi, which validate rejects.
+        out = retract_points(np.array([[0.0, 0.0]]), np.array([[0.0, -1e-17, 0.0]]), torus(3.0))
+        assert out.tolist() == [[0.0, 0.0]]
+        Configuration(torus(3.0), out).validate()
+
     def test_sphere_norm_restored(self):
         rng = np.random.default_rng(31)
         d = sphere()

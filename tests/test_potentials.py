@@ -395,6 +395,25 @@ class TestEngineMatchesScalarKernel:
                 energy_gradient(Configuration(domain, points), pot)
 
 
+def test_energy_sums_subnormal_pair_energies_exactly(monkeypatch):
+    # Beside the class, whose tests run once per engine case.  The pair
+    # energies -3.6e-311, -3.2e-310 and -1.4e-310 are subnormal: halving or
+    # scaling one rounds it, and the exact sum must not.  They are the
+    # kernel's values at the pairs' r2, as in the class's exactness test:
+    # r2 itself is subnormal, so the formula at r would differ in the last
+    # bits.
+    pot = riesz(1.99)
+    points = np.array([[0.0, 0.0, 0.0], [1e-156, 0.0, 0.0], [3e-156, 0.0, 0.0]])
+    r = np.array([1e-156, 3e-156, 3e-156 - 1e-156])
+    u, _ = potentials._kernel(pot, r * r, np.empty(3))
+    assert np.all((-u > 0.0) & (-u < sys.float_info.min))
+    assert u == pytest.approx([pair_formula(pot, rk)[0] for rk in r.tolist()], rel=1e-11)
+    want = math.fsum(u.tolist())
+    assert total_energy_of_points(points, free3(), pot) == want
+    monkeypatch.setattr(potentials, "_BLOCK_ELEMENTS", 2 * 3)
+    assert total_energy_of_points(points, free3(), pot) == want
+
+
 def walk_bits(points, domain, pot):
     """Exact energy, line-search energy and gradient, as bytes."""
     energy, grad = energy_gradient_of_points(points, domain, pot)
@@ -620,6 +639,34 @@ def test_one_cpu_walks_on_the_calling_thread(threads):
     threads(1)
     points = random_configuration(sphere(), 600, 45).points
     assert (exact, energy, bytes.fromhex(grad)) == walk_bits(points, sphere(), riesz(-1.0))
+
+
+ONE_BLAS_THREAD_WALK = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from gsaudit.geometry import random_configuration, sphere
+from gsaudit.potentials import (
+    energy_gradient_of_points, log_coulomb, riesz, total_energy_of_points,
+)
+points = random_configuration(sphere(), 600, 46).points
+for pot in (riesz(-1.0), log_coulomb()):
+    energy, grad = energy_gradient_of_points(points, sphere(), pot)
+    exact = total_energy_of_points(points, sphere(), pot)
+    print(exact.hex(), energy.hex(), grad.tobytes().hex())
+"""
+
+
+def test_walk_bits_do_not_depend_on_blas_threads():
+    # The walk's BLAS products (coordinate differences and gradient sums)
+    # give the same bits with one BLAS thread as with the default count.
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_BLAS_THREAD_WALK], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    points = random_configuration(sphere(), 600, 46).points
+    for line, pot in zip(proc.stdout.splitlines(), (riesz(-1.0), log_coulomb()), strict=True):
+        exact, energy, grad = line.split()
+        assert (exact, energy, bytes.fromhex(grad)) == walk_bits(points, sphere(), pot)
 
 
 @pytest.mark.parametrize("domain", [sphere(), torus(1.414), free3()], ids=lambda d: d.kind)
