@@ -8,90 +8,49 @@ line-search trial) that produces such tables for log, power-law,
 Coulomb, and Lennard-Jones pair interactions on the unit sphere, an embedded
 torus, or free 3-space; and large-N asymptotic models to compare tables
 against.  The ``gsaudit`` command line exposes all three.
+
+Importing the package loads no submodule: each public name below is
+imported from its module on first access, so ``gsaudit.monotonicity_audit``
+loads only the table and the audit, and numpy only comes in with the
+geometry, the kernels or the optimizer.
 """
 
-from .geometry import (
-    Configuration,
-    DomainSpec,
-    StepTooLargeError,
-    free3,
-    random_configuration,
-    sphere,
-    torus,
-)
-from .potentials import (
-    CoincidentPointsError,
-    PotentialSpec,
-    coulomb,
-    energy_gradient,
-    lennard_jones,
-    log_coulomb,
-    riesz,
-    total_energy,
-)
-from .table import EnergyTable, TableMetadata, pair_specific, parse_table, table_digest, write_table
-from .audit import AuditReport, ImprovedBound, Violation, improved_upper_bound, monotonicity_audit
-from .optimizer import (
-    OptimizerSettings,
-    RunResult,
-    brute_force_monotonicity_check,
-    build_table,
-    local_minimize,
-    multistart,
-)
-from .asymptotics import (
-    AsymptoticModel,
-    log_sphere_model,
-    model_energy,
-    pair_specific_model,
-    thomson_sphere_model,
-)
+import importlib
 
-__all__ = [
-    "AsymptoticModel",
-    "AuditReport",
-    "CoincidentPointsError",
-    "Configuration",
-    "DomainSpec",
-    "EnergyTable",
-    "ImprovedBound",
-    "OptimizerSettings",
-    "PotentialSpec",
-    "RunResult",
-    "StepTooLargeError",
-    "TableMetadata",
-    "Violation",
-    "brute_force_monotonicity_check",
-    "build_table",
-    "coulomb",
-    "energy_gradient",
-    "free3",
-    "improved_upper_bound",
-    "lennard_jones",
-    "local_minimize",
-    "log_coulomb",
-    "log_sphere_model",
-    "model_energy",
-    "monotonicity_audit",
-    "multistart",
-    "pair_specific",
-    "pair_specific_model",
-    "parse_table",
-    "random_configuration",
-    "riesz",
-    "sphere",
-    "table_digest",
-    "thomson_sphere_model",
-    "torus",
-    "total_energy",
-    "write_table",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "problem": (
+        "DomainSpec", "PotentialSpec", "coulomb", "free3", "lennard_jones", "log_coulomb",
+        "riesz", "sphere", "torus",
+    ),
+    "geometry": ("Configuration", "StepTooLargeError", "random_configuration"),
+    "potentials": ("CoincidentPointsError", "energy_gradient", "total_energy"),
+    "table": (
+        "EnergyTable", "TableMetadata", "pair_specific", "parse_table", "table_digest",
+        "write_table",
+    ),
+    "audit": (
+        "AuditReport", "ImprovedBound", "Violation", "improved_upper_bound", "monotonicity_audit",
+    ),
+    "optimizer": (
+        "OptimizerSettings", "RunResult", "brute_force_monotonicity_check", "build_table",
+        "local_minimize", "multistart",
+    ),
+    "asymptotics": (
+        "AsymptoticModel", "log_sphere_model", "model_energy", "pair_specific_model",
+        "thomson_sphere_model",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __version__ = "0.1.0"
 
 
-def fixture_path(name: str):
-    """Path to a bundled fixture table (see gsaudit/fixtures/)."""
-    from importlib.resources import files
-
-    return files("gsaudit.fixtures").joinpath(name)
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .problem import LOG, RIESZ, SPHERE
 from .table import EnergyTable, pair_specific
-from .geometry import SPHERE
-from .potentials import LOG, RIESZ, PotentialSpec
 
 LOG_SPHERE = "log-sphere"
 THOMSON_SPHERE = "thomson-sphere"

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .table import EnergyTable, pair_specific, table_digest
-from .table import TableMetadata  # noqa: F401  (perfbench/workloads.py imports it from here)
+from .table import pair_specific, table_digest
+from .table import EnergyTable, TableMetadata  # noqa: F401  (perfbench/workloads.py reads both)
 
 # Default violation guard: a pair (N, N+n) only counts as a violation when
 # eps(N+n) - eps(N) < -tau with tau = RELATIVE_TOLERANCE_BASE * max(1, |eps(N)|).
@@ -39,10 +39,6 @@ class Violation:
     n: int
     gap: int
     delta_eps: float
-
-    @property
-    def verdict(self) -> str:
-        return f"recorded energy at N={self.n} lies strictly above the true minimum"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean, 1 monotonicity violations found (or a failed small-N
 check), 2 usage, input or file error — the audit subcommand is designed to
-compose into experiment pipelines as a gate.
+compose into experiment pipelines as a gate.  Only the optimizing commands
+import the optimizer, so ``audit`` and ``asymptote`` run without numpy.
 """
 
 from __future__ import annotations
@@ -16,17 +17,11 @@ from pathlib import Path
 
 from . import asymptotics
 from .audit import AuditReport, monotonicity_audit
-from .optimizer import OptimizerSettings, brute_force_monotonicity_check, build_table
-from .table import (
-    DOMAIN_TOKENS,
-    POTENTIAL_TOKENS,
-    InputError,
-    format_rows,
-    parse_domain_token,
-    parse_potential_token,
-    parse_table,
-    write_table,
+from .problem import (
+    DOMAIN_TOKENS, POTENTIAL_TOKENS, InputError, parse_domain_token, parse_potential_token,
 )
+# perfbench/workloads.py also reads parse_table and write_table from here.
+from .table import format_rows, parse_table, write_table
 
 
 def parse_n_range(token: str) -> list[int]:
@@ -100,6 +95,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimizer import OptimizerSettings, build_table
+
     domain = parse_domain_token(args.domain)
     pot = parse_potential_token(args.potential)
     counts = parse_n_range(args.n)
@@ -134,6 +131,8 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
 
 
 def _cmd_small_n_check(args: argparse.Namespace) -> int:
+    from .optimizer import OptimizerSettings, brute_force_monotonicity_check
+
     domain = parse_domain_token(args.domain)
     pot = parse_potential_token(args.potential)
     restarts = args.restarts if args.restarts is not None else 100 * args.n_max

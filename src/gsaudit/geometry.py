@@ -1,12 +1,11 @@
-"""Constraint domains and their embedding/projection/retraction primitives.
+"""Point configurations on the domains of :mod:`gsaudit.problem`, and their primitives.
 
-Three domains are supported: the unit 2-sphere, a ring torus embedded in
-3-space (minor radius fixed to 1, major radius = aspect_ratio), and
-unconstrained 3-space.  Points are stored in intrinsic coordinates — a unit
-3-vector on the sphere, an angle pair (theta, phi) on the torus, a plain
-3-vector in free space — and all distance/optimizer arithmetic happens on the
-embedded ambient coordinates.  Distances are always ambient (chordal)
-Euclidean distances between embedded points.
+Points are stored in intrinsic coordinates — a unit 3-vector on the sphere,
+an angle pair (theta, phi) on the torus (minor radius 1, major radius =
+aspect_ratio), a plain 3-vector in free space — and all distance/optimizer
+arithmetic happens on the embedded ambient coordinates: embedding,
+projection onto the tangent planes and retraction.  Distances are always
+ambient (chordal) Euclidean distances between embedded points.
 """
 
 from __future__ import annotations
@@ -16,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPHERE = "sphere"
-TORUS = "torus"
-FREE3 = "free3"
-
-_KINDS = (SPHERE, TORUS, FREE3)
+from .problem import FREE3, SPHERE, TORUS, DomainSpec
+from .problem import sphere  # noqa: F401  (perfbench/workloads.py reads it here)
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,45 +28,6 @@ MAX_TORUS_STEP = 0.5
 
 class StepTooLargeError(ValueError):
     """A torus retraction step left the region where nearest-point recovery is safe."""
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """A constraint manifold for point configurations.
-
-    ``aspect_ratio`` is the ratio of major to minor radius of the embedded
-    torus (minor radius fixed to 1); it must be > 1 so the surface does not
-    self-intersect, and finite, and must be absent for the other domains.
-    """
-
-    kind: str
-    aspect_ratio: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(
-                f"unknown domain kind {self.kind!r}; expected one of {_KINDS}"
-            )
-        if self.kind == TORUS:
-            if self.aspect_ratio is None or not 1.0 < self.aspect_ratio < math.inf:
-                raise ValueError("torus aspect_ratio (major/minor radius) must be > 1 and finite")
-        elif self.aspect_ratio is not None:
-            raise ValueError(f"aspect_ratio is not meaningful for {self.kind!r}")
-
-
-def sphere() -> DomainSpec:
-    """The unit 2-sphere in R^3."""
-    return DomainSpec(SPHERE)
-
-
-def torus(aspect_ratio: float) -> DomainSpec:
-    """An embedded ring torus with minor radius 1 and major radius ``aspect_ratio``."""
-    return DomainSpec(TORUS, float(aspect_ratio))
-
-
-def free3() -> DomainSpec:
-    """Unconstrained 3-space."""
-    return DomainSpec(FREE3)
 
 
 def intrinsic_dim(domain: DomainSpec) -> int:

@@ -44,21 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import EnergyTable, TableMetadata
 from .geometry import (
     Configuration,
-    DomainSpec,
     StepTooLargeError,
     random_configuration,
     retract_points,
     tangent_project_points,
 )
-from .potentials import (
-    CoincidentPointsError,
-    PotentialSpec,
-    energy_gradient_of_points,
-    total_energy_of_points,
-)
+from .potentials import CoincidentPointsError, energy_gradient_of_points, total_energy_of_points
+from .problem import DomainSpec, PotentialSpec
+from .table import EnergyTable, TableMetadata
 
 logger = logging.getLogger(__name__)
 

@@ -1,10 +1,4 @@
-"""Pair interaction kernels and configuration energy/gradient evaluation.
-
-Supported kernels: the 2-D Coulomb (logarithmic) interaction -ln r, the
-power-law family -sign(s) * r^s for real s < 2 (s = 0 is represented by the
-logarithmic kernel, its limit), and the Lennard-Jones interaction
-r^-12 - r^-6 (free 3-space only).  The D-dimensional Coulomb kernel r^(2-D)
-is the power law at s = 2 - D; :func:`coulomb` builds it as such.
+"""Pair energy and gradient evaluation for the kernels of :mod:`gsaudit.problem`.
 
 Total energies are sums over all unordered pairs of the kernel evaluated at
 the chordal distance.  The reported energy is exactly rounded: it equals
@@ -42,75 +36,18 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FREE3, Configuration, DomainSpec, embed_points, tangent_project_points
-
-LOG = "log"
-RIESZ = "riesz"
-LENNARD_JONES = "lj"
-
-_KINDS = (LOG, RIESZ, LENNARD_JONES)
+from .geometry import Configuration, embed_points, tangent_project_points
+from .problem import LENNARD_JONES, LOG, DomainSpec, PotentialSpec, validate_domain_potential
+from .problem import log_coulomb, riesz  # noqa: F401  (perfbench/workloads.py reads them here)
 
 _LARGEST = np.finfo(float).max
 
 
 class CoincidentPointsError(ValueError):
     """Two points coincide where the requested quantity is undefined."""
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """A pair interaction kernel.
-
-    ``exponent`` is the power-law exponent s and is set only for the
-    ``riesz`` kind; the D-dimensional Coulomb kernel is that kind with
-    s = 2 - D.
-    """
-
-    kind: str
-    exponent: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == RIESZ:
-            s = self.exponent
-            if s is None or not -math.inf < s < 2.0 or s == 0.0:
-                raise ValueError("power-law exponent must be finite, s < 2 and s != 0 "
-                                 "(use the log kernel for the s = 0 limit)")
-        elif self.exponent is not None:
-            raise ValueError(f"{self.kind!r} takes no parameters")
-
-
-def log_coulomb() -> PotentialSpec:
-    """The 2-D Coulomb kernel -ln r."""
-    return PotentialSpec(LOG)
-
-
-def riesz(s: float) -> PotentialSpec:
-    """The power-law kernel -sign(s) * r^s, finite s < 2, s != 0."""
-    return PotentialSpec(RIESZ, exponent=float(s))
-
-
-def coulomb(dimension: int) -> PotentialSpec:
-    """The D-dimensional Coulomb kernel r^(2-D), i.e. ``riesz(2 - D)``; D = 3 gives 1/r."""
-    if dimension != int(dimension) or dimension < 3:
-        raise ValueError("Coulomb dimension must be an integer >= 3")
-    return riesz(2 - int(dimension))
-
-
-def lennard_jones() -> PotentialSpec:
-    """The Lennard-Jones kernel r^-12 - r^-6 (free 3-space only)."""
-    return PotentialSpec(LENNARD_JONES)
-
-
-def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
-    """Reject kernel/domain combinations outside the supported setting."""
-    if pot.kind == LENNARD_JONES and domain.kind != FREE3:
-        raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
 def _kernel(

@@ -5,7 +5,13 @@ Table file format (bit-exact round trip): UTF-8 text with LF line endings;
 aspect_ratio, source); data lines ``N<TAB>E`` with E written as a decimal
 string via shortest round-trip repr, so re-parsing reproduces the exact
 float.  Blank lines are ignored; duplicate N keeps the lower energy with a
-logged warning; N < 2 and non-finite energies are input errors.
+logged warning; N < 2, non-finite energies and headers that name no valid
+problem (an aspect ratio off the torus, a kernel its domain does not
+support) are input errors.
+
+The domain and potential headers use the tokens of :mod:`gsaudit.problem`,
+the only package module this one imports, so reading, writing and auditing
+a table never loads numpy.
 """
 
 from __future__ import annotations
@@ -17,22 +23,18 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .geometry import FREE3, SPHERE, TORUS, DomainSpec, free3, sphere, torus
-from .potentials import (
-    LENNARD_JONES,
-    LOG,
-    RIESZ,
+from .problem import (
+    TORUS,
+    DomainSpec,
+    InputError,
     PotentialSpec,
-    coulomb,
-    lennard_jones,
-    log_coulomb,
-    riesz,
+    format_potential_token,
+    parse_domain_token,
+    parse_potential_token,
+    validate_domain_potential,
 )
 
 logger = logging.getLogger(__name__)
-
-DOMAIN_TOKENS = "sphere | torus:<ratio> | free3"
-POTENTIAL_TOKENS = "log | riesz:<s> | coulomb:<D> | lj"
 
 
 def pair_specific(n: int, energy: float) -> float:
@@ -114,56 +116,6 @@ def table_digest(table: EnergyTable) -> str:
     return hashlib.sha256(_energy_rows(table).encode()).hexdigest()[:16]
 
 
-class InputError(ValueError):
-    """A user input (file or flag value) could not be interpreted."""
-
-
-def parse_domain_token(token: str) -> DomainSpec:
-    name, _, arg = token.partition(":")
-    try:
-        if name == SPHERE and not arg:
-            return sphere()
-        if name == FREE3 and not arg:
-            return free3()
-        if name == TORUS:
-            if not arg:
-                raise InputError("torus domain needs an aspect ratio, e.g. torus:1.414")
-            return torus(float(arg))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad domain {token!r}: {exc}") from exc
-    raise InputError(f"unknown domain {token!r}; expected {DOMAIN_TOKENS}")
-
-
-def parse_potential_token(token: str) -> PotentialSpec:
-    name, _, arg = token.partition(":")
-    try:
-        if name == LOG and not arg:
-            return log_coulomb()
-        if name == LENNARD_JONES and not arg:
-            return lennard_jones()
-        if name == RIESZ:
-            if not arg:
-                raise InputError("riesz potential needs an exponent, e.g. riesz:-1")
-            return riesz(float(arg))
-        if name == "coulomb":
-            if not arg:
-                raise InputError("coulomb potential needs a dimension, e.g. coulomb:3")
-            return coulomb(int(arg))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"bad potential {token!r}: {exc}") from exc
-    raise InputError(f"unknown potential {token!r}; expected {POTENTIAL_TOKENS}")
-
-
-def format_potential_token(pot: PotentialSpec) -> str:
-    if pot.kind == RIESZ:
-        return f"riesz:{pot.exponent!r}"
-    return pot.kind
-
-
 def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
     """Read a table file; see the module docstring for the format.
 
@@ -207,11 +159,18 @@ def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
     meta = TableMetadata(source=headers.get("source", ""))
     if "domain" in headers:
         token = headers["domain"]
-        if token == TORUS and "aspect_ratio" in headers:
+        if "aspect_ratio" in headers:
+            if token != TORUS:
+                raise InputError(f"{path}: #aspect_ratio needs #domain=torus, got {token!r}")
             token = f"torus:{headers['aspect_ratio']}"
         meta.domain = parse_domain_token(token)
     if "potential" in headers:
         meta.potential = parse_potential_token(headers["potential"])
+    if meta.domain is not None and meta.potential is not None:
+        try:
+            validate_domain_potential(meta.domain, meta.potential)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from exc
     table.metadata = meta
     return table
 

@@ -17,20 +17,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsaudit import fixture_path
+from conftest import fixture_path
 from gsaudit.asymptotics import B_THOMSON, ZETA_HALF, log_sphere_model, pair_specific_model
 from gsaudit.audit import monotonicity_audit, pair_specific, table_digest
 from gsaudit.cli import main, parse_table, write_table
-from gsaudit.geometry import free3, random_configuration, retract_points, sphere, tangent_project_points, torus
+from gsaudit.geometry import random_configuration, retract_points, tangent_project_points
 from gsaudit.optimizer import OptimizerSettings, brute_force_monotonicity_check, build_table, multistart
-from gsaudit.potentials import (
-    coulomb,
-    energy_gradient,
-    lennard_jones,
-    log_coulomb,
-    riesz,
-    total_energy_of_points,
-)
+from gsaudit.potentials import energy_gradient, total_energy_of_points
+from gsaudit.problem import coulomb, free3, lennard_jones, log_coulomb, riesz, sphere, torus
 
 
 @pytest.fixture()

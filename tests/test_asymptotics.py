@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gsaudit import fixture_path
+from conftest import fixture_path
 from gsaudit.asymptotics import (
     A_LOG_SPHERE,
     LOG_SPHERE,
@@ -18,8 +18,7 @@ from gsaudit.asymptotics import (
 )
 from gsaudit.audit import EnergyTable, TableMetadata
 from gsaudit.cli import parse_table
-from gsaudit.geometry import sphere, torus
-from gsaudit.potentials import coulomb, log_coulomb, riesz
+from gsaudit.problem import coulomb, log_coulomb, riesz, sphere, torus
 
 # b = 3 sqrt(sqrt(3)/(8 pi)) zeta(1/2) (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
 # the k-sum written with Hurwitz zeta values, evaluated at 30 digits with mpmath.

@@ -4,23 +4,25 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsaudit import fixture_path
+from conftest import fixture_path
 from gsaudit.asymptotics import A_LOG_SPHERE, thomson_sphere_model
 from gsaudit.audit import EnergyTable, TableMetadata, pair_specific, table_digest
-from gsaudit.cli import (
+from gsaudit.cli import main, parse_n_range, parse_table, write_table
+from gsaudit.problem import (
     InputError,
-    main,
+    coulomb,
+    free3,
+    lennard_jones,
+    log_coulomb,
     parse_domain_token,
-    parse_n_range,
     parse_potential_token,
-    parse_table,
-    write_table,
+    riesz,
+    sphere,
+    torus,
 )
-from gsaudit.geometry import free3, sphere, torus
-from gsaudit.potentials import coulomb, lennard_jones, log_coulomb, riesz
 from gsaudit.table import format_table
 
 FIXTURES = [
@@ -132,6 +134,21 @@ class TestParseTable:
         p.write_text("#domain=torus\n#aspect_ratio=1.414\n2\t0.5\n", encoding="utf-8")
         assert parse_table(p).metadata.domain == torus(1.414)
 
+    @pytest.mark.parametrize(
+        "headers",
+        ["#domain=sphere\n#potential=lj\n", "#domain=sphere\n#aspect_ratio=2.0\n"],
+        ids=["lj-on-sphere", "ratio-off-torus"],
+    )
+    def test_headers_no_spec_accepts_fail_the_audit(self, headers, tmp_path, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text(headers + "2\t0.5\n3\t1.7\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"bad\.tsv"):
+            parse_table(p)
+        assert main(["audit", "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "bad.tsv" in captured.err
+        assert "no violations" not in captured.out
+
     @pytest.mark.parametrize("ratio", ["0.5", "inf"])
     def test_bad_torus_aspect_ratio_header_fails_the_audit(self, ratio, tmp_path, capsys):
         p = tmp_path / "t.tsv"
@@ -187,6 +204,8 @@ class TestRoundTrip:
     def test_arbitrary_finite_tables_round_trip_exactly(
         self, rows, domain, potential, tmp_path_factory
     ):
+        # parse_table refuses the header pairs that name no problem.
+        assume(potential != lennard_jones() or domain == free3())
         t = EnergyTable(metadata=TableMetadata(domain=domain, potential=potential))
         for n, e in rows.items():
             t.add(n, e)
@@ -407,7 +426,7 @@ def test_unwritable_output_fails_before_the_optimization(out, tmp_path, capsys, 
     def refuse(*args, **kwargs):
         raise AssertionError("build_table ran before the output was checked")
 
-    monkeypatch.setattr("gsaudit.cli.build_table", refuse)
+    monkeypatch.setattr("gsaudit.optimizer.build_table", refuse)
     rc = main(["optimize", "--domain", "sphere", "--potential", "log", "--n", "2-40",
                "--restarts", "5", "--out", str(tmp_path / out)])
     assert rc == 2
@@ -457,6 +476,56 @@ def test_package_import_leaves_the_cli_unloaded():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+GATE_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from gsaudit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+engine = ("gsaudit.geometry", "gsaudit.potentials", "gsaudit.optimizer")
+loaded = [name for name in engine if name in sys.modules]
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
+
+
+def test_gate_runs_without_numpy(tmp_path, capsys):
+    # audit and asymptote import neither numpy nor the engine, and their
+    # output does not depend on whether numpy is installed.
+    commands = [
+        ["audit", "--input", str(fixture_path(name)), "--format", fmt]
+        for name in FIXTURES for fmt in ("text", "records")
+    ] + [
+        ["asymptote", "--model", "log-sphere", "--out", str(tmp_path / "log"),
+         "--input", str(fixture_path("log_sphere_pair_n97.tsv"))],
+        ["asymptote", "--model", "thomson-sphere", "--out", str(tmp_path / "thomson"),
+         "--input", str(fixture_path("thomson_sphere_tail.tsv"))],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", GATE_WITHOUT_NUMPY, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    isolated = json.loads(proc.stdout)
+    assert isolated["loaded"] == []
+    written = sorted(tmp_path.iterdir())
+    isolated_files = [path.read_bytes() for path in written]
+    for path in written:
+        path.unlink()
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append([code, captured.out, captured.err])
+    assert isolated["results"] == in_process
+    assert [code for code, _, _ in in_process] == [1] * 6 + [0] * 4
+    assert sorted(tmp_path.iterdir()) == written
+    assert [path.read_bytes() for path in written] == isolated_files
 
 
 def test_export_list_is_importable():

@@ -7,18 +7,15 @@ from gsaudit.geometry import (
     MAX_TORUS_STEP,
     TWO_PI,
     Configuration,
-    DomainSpec,
     StepTooLargeError,
     embed_points,
-    free3,
     intrinsic_dim,
     random_configuration,
     retract_points,
-    sphere,
     surface_normals,
     tangent_project_points,
-    torus,
 )
+from gsaudit.problem import DomainSpec, free3, sphere, torus
 
 ALL_DOMAINS = [sphere(), torus(1.414), free3()]
 

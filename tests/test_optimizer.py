@@ -8,12 +8,9 @@ from gsaudit.audit import monotonicity_audit
 from gsaudit.geometry import (
     Configuration,
     StepTooLargeError,
-    free3,
     random_configuration,
     retract_points,
-    sphere,
     surface_normals,
-    torus,
 )
 from gsaudit.table import format_table
 from gsaudit.optimizer import (
@@ -28,11 +25,9 @@ from gsaudit.potentials import (
     CoincidentPointsError,
     energy_gradient,
     energy_gradient_of_points,
-    lennard_jones,
-    log_coulomb,
-    riesz,
     total_energy,
 )
+from gsaudit.problem import free3, lennard_jones, log_coulomb, riesz, sphere, torus
 
 INVERSE_R = riesz(-1.0)
 

@@ -16,24 +16,26 @@ from gsaudit import potentials
 from gsaudit.geometry import (
     Configuration,
     embed_points,
-    free3,
     random_configuration,
     retract_points,
-    sphere,
     surface_normals,
     tangent_project_points,
-    torus,
 )
 from gsaudit.potentials import (
     CoincidentPointsError,
-    coulomb,
     energy_gradient,
     energy_gradient_of_points,
+    total_energy,
+    total_energy_of_points,
+)
+from gsaudit.problem import (
+    coulomb,
+    free3,
     lennard_jones,
     log_coulomb,
     riesz,
-    total_energy,
-    total_energy_of_points,
+    sphere,
+    torus,
     validate_domain_potential,
 )
 
@@ -613,8 +615,9 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import gsaudit
 assert "concurrent.futures" not in sys.modules, "import gsaudit loaded concurrent.futures"
 from gsaudit import potentials
-from gsaudit.geometry import random_configuration, sphere
-from gsaudit.potentials import energy_gradient_of_points, riesz, total_energy_of_points
+from gsaudit.geometry import random_configuration
+from gsaudit.potentials import energy_gradient_of_points, total_energy_of_points
+from gsaudit.problem import riesz, sphere
 assert potentials._THREADS == 1, potentials._THREADS
 assert len(potentials._blocks(600)) == 4
 points = random_configuration(sphere(), 600, 45).points
@@ -644,10 +647,9 @@ def test_one_cpu_walks_on_the_calling_thread(threads):
 ONE_BLAS_THREAD_WALK = """
 import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-from gsaudit.geometry import random_configuration, sphere
-from gsaudit.potentials import (
-    energy_gradient_of_points, log_coulomb, riesz, total_energy_of_points,
-)
+from gsaudit.geometry import random_configuration
+from gsaudit.potentials import energy_gradient_of_points, total_energy_of_points
+from gsaudit.problem import log_coulomb, riesz, sphere
 points = random_configuration(sphere(), 600, 46).points
 for pot in (riesz(-1.0), log_coulomb()):
     energy, grad = energy_gradient_of_points(points, sphere(), pot)
