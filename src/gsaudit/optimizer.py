@@ -22,8 +22,11 @@ BB step along the negative gradient.
 Each trial point costs one engine walk, :func:`energy_gradient_of_points`,
 which gives the fast uncompensated line-search energy and the gradient
 together; a trial whose energy does not strictly decrease, or whose gradient
-is not finite, halves the step.  The reported energy is the exactly rounded
-sum, evaluated once on the returned configuration.
+is not finite, halves the step.  That backtracking, its accept test and
+the run's one stall exit (a step below 1e-18, where the line-search energy
+can no longer resolve a decrease) live in :func:`_line_search`;
+:func:`local_minimize` holds the step rule.  The reported energy is the
+exactly rounded sum, evaluated once on the returned configuration.
 
 Restart r of a multistart run draws its starting configuration from a seed
 derived as SeedSequence(seed, spawn_key=r), so results are independent of
@@ -91,7 +94,7 @@ class OptimizerSettings:
     per-point tangent gradient norm.  Its default, 1e-6, sits above the
     roundoff floor of the line-search energy comparison: tolerances near
     1e-10 stall before they are met, and on the 1/r kernel at N = 51..80
-    about one run in six still stalls just above 1e-6.
+    about one run in four still stalls just above 1e-6.
     """
 
     restarts: int = 50
@@ -163,6 +166,32 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+def _line_search(x, direction, trial, energy, domain, pot):
+    """Backtrack from ``trial`` along ``direction`` to a strictly lower energy.
+
+    Each trial retracts ``x + trial * direction`` onto the domain and costs
+    one engine walk; a trial whose energy does not strictly decrease, or
+    whose gradient is not finite, halves the step, and so does a step too
+    large to retract (which does not count as a rejection).  Returns the
+    accepted ``(trial, x_new, e_new, grad_new, rejected)``, where
+    ``rejected`` says whether any trial was rejected, or None once the step
+    falls below ``_MIN_STEP`` (a stall).
+    """
+    rejected = False
+    while trial >= _MIN_STEP:
+        try:
+            x_new = retract_points(x, trial * direction, domain)
+        except StepTooLargeError:
+            trial *= 0.5
+            continue
+        e_new, grad_new = energy_gradient_of_points(x_new, domain, pot)
+        if e_new < energy and np.isfinite(grad_new).all():
+            return trial, x_new, e_new, grad_new, rejected
+        trial *= 0.5
+        rejected = True
+    return None
+
+
 def local_minimize(
     c0: Configuration, pot: PotentialSpec, settings: OptimizerSettings, restart_index: int = 0
 ) -> RunResult:
@@ -176,13 +205,12 @@ def local_minimize(
         raise CoincidentPointsError("start configuration has coincident or too close points")
     max_iter, step = settings.resolved(c0.n_points)
     trace = [energy]
-    gnorm = _max_row_norm(grad)
     # ``step`` is the BB step along -grad; an L-BFGS direction is tried at 1
     # instead.  Curvature pairs (s, y, s.y), flat, are None until the first
     # rejected trial.
     pairs = None
     for _ in range(max_iter):
-        if gnorm < settings.gradient_tolerance:
+        if _max_row_norm(grad) < settings.gradient_tolerance:
             break
         direction, trial, quasi_newton = -grad, step, False
         if pairs:
@@ -192,23 +220,10 @@ def local_minimize(
                 direction, trial, quasi_newton = -hg, 1.0, True
             else:
                 pairs.clear()
-        while True:
-            if trial < _MIN_STEP:
-                break
-            try:
-                x_new = retract_points(x, trial * direction, domain)
-            except StepTooLargeError:
-                trial *= 0.5
-                continue
-            e_new, grad_new = energy_gradient_of_points(x_new, domain, pot)
-            if e_new < energy and np.isfinite(grad_new).all():
-                break
-            trial *= 0.5
-            if pairs is None:
-                pairs = deque(maxlen=_LBFGS_MEMORY)
-        if trial < _MIN_STEP:
+        accepted = _line_search(x, direction, trial, energy, domain, pot)
+        if accepted is None:
             break
-        x, energy = x_new, e_new
+        trial, x, energy, grad_new, rejected = accepted
         trace.append(energy)
         if not quasi_newton:
             step = trial
@@ -220,10 +235,12 @@ def local_minimize(
             step = min(max(bb, _BB_SHRINK * step), _BB_GROW * step)
         else:
             step *= 1.2
+        if rejected and pairs is None:
+            pairs = deque(maxlen=_LBFGS_MEMORY)
         if pairs is not None and sy > 0.0:
             pairs.append((s.ravel(), y.ravel(), sy))
         grad = grad_new
-        gnorm = _max_row_norm(grad)
+    gnorm = _max_row_norm(grad)
     return RunResult(
         configuration=Configuration(domain, x),
         energy=total_energy_of_points(x, domain, pot),
@@ -246,8 +263,6 @@ def multistart(
     domain: DomainSpec, pot: PotentialSpec, n: int, settings: OptimizerSettings
 ) -> RunResult:
     """Best local-search result over ``settings.restarts`` independent starts."""
-    if n < 2:
-        raise ValueError("need at least two points")
     best: RunResult | None = None
     for r in range(settings.restarts):
         start = random_configuration(domain, n, derived_seed(settings.seed, r))

@@ -50,11 +50,17 @@ class TableEntry:
     label: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableMetadata:
+    """The problem a table is for; a domain and a potential must form a supported pair."""
+
     domain: DomainSpec | None = None
     potential: PotentialSpec | None = None
     source: str = ""
+
+    def __post_init__(self):
+        if self.domain is not None and self.potential is not None:
+            validate_domain_potential(self.domain, self.potential)
 
 
 @dataclass
@@ -156,22 +162,19 @@ def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     if not table.entries and not allow_empty:
         raise InputError(f"{path}: no rows")
-    meta = TableMetadata(source=headers.get("source", ""))
-    if "domain" in headers:
-        token = headers["domain"]
+    domain, potential = headers.get("domain"), headers.get("potential")
+    try:
         if "aspect_ratio" in headers:
-            if token != TORUS:
-                raise InputError(f"{path}: #aspect_ratio needs #domain=torus, got {token!r}")
-            token = f"torus:{headers['aspect_ratio']}"
-        meta.domain = parse_domain_token(token)
-    if "potential" in headers:
-        meta.potential = parse_potential_token(headers["potential"])
-    if meta.domain is not None and meta.potential is not None:
-        try:
-            validate_domain_potential(meta.domain, meta.potential)
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    table.metadata = meta
+            if domain != TORUS:
+                raise InputError(f"#aspect_ratio needs #domain=torus, got {domain!r}")
+            domain = f"torus:{headers['aspect_ratio']}"
+        table.metadata = TableMetadata(
+            domain=None if domain is None else parse_domain_token(domain),
+            potential=None if potential is None else parse_potential_token(potential),
+            source=headers.get("source", ""),
+        )
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     return table
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
@@ -149,6 +151,31 @@ class TestParseTable:
         assert "bad.tsv" in captured.err
         assert "no violations" not in captured.out
 
+    def test_aspect_ratio_without_domain_fails_the_audit(self, tmp_path, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text("#aspect_ratio=2\n2\t0.5\n3\t1.7\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"bad\.tsv: #aspect_ratio needs #domain=torus"):
+            parse_table(p)
+        assert main(["audit", "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}:")
+        assert "no violations" not in captured.out
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("#domain=pretzel", "unknown domain 'pretzel'"),
+         ("#domain=torus", "torus domain needs an aspect ratio"),
+         ("#potential=yukawa", "unknown potential 'yukawa'")],
+        ids=["pretzel", "torus-without-ratio", "yukawa"],
+    )
+    def test_bad_header_token_names_the_file(self, header, message, tmp_path, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"{header}\n2\t0.5\n", encoding="utf-8")
+        with pytest.raises(InputError, match="^" + re.escape(f"{p}: {message}")):
+            parse_table(p)
+        assert main(["audit", "--input", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
+
     @pytest.mark.parametrize("ratio", ["0.5", "inf"])
     def test_bad_torus_aspect_ratio_header_fails_the_audit(self, ratio, tmp_path, capsys):
         p = tmp_path / "t.tsv"
@@ -196,17 +223,20 @@ class TestRoundTrip:
             min_size=1,
             max_size=20,
         ),
-        domain=st.sampled_from([sphere(), free3()])
-        | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False).map(torus),
-        potential=st.sampled_from([log_coulomb(), lennard_jones()])
-        | st.floats(max_value=2.0, exclude_max=True, allow_infinity=False).filter(bool).map(riesz),
+        # Only pairs that name a problem: Lennard-Jones lives in free 3-space alone.
+        metadata=st.builds(
+            TableMetadata,
+            domain=st.sampled_from([sphere(), free3()])
+            | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False).map(torus),
+            potential=st.just(log_coulomb())
+            | st.floats(max_value=2.0, exclude_max=True, allow_infinity=False)
+            .filter(bool)
+            .map(riesz),
+        )
+        | st.just(TableMetadata(free3(), lennard_jones())),
     )
-    def test_arbitrary_finite_tables_round_trip_exactly(
-        self, rows, domain, potential, tmp_path_factory
-    ):
-        # parse_table refuses the header pairs that name no problem.
-        assume(potential != lennard_jones() or domain == free3())
-        t = EnergyTable(metadata=TableMetadata(domain=domain, potential=potential))
+    def test_arbitrary_finite_tables_round_trip_exactly(self, rows, metadata, tmp_path_factory):
+        t = EnergyTable(metadata=metadata)
         for n, e in rows.items():
             t.add(n, e)
         out = tmp_path_factory.mktemp("round_trip") / "t.tsv"
@@ -217,6 +247,16 @@ class TestRoundTrip:
         }
         assert again.metadata == t.metadata
         assert table_digest(again) == table_digest(t)
+
+    def test_metadata_refuses_a_pair_that_names_no_problem(self):
+        # So no table that parse_table would refuse can be written.
+        with pytest.raises(ValueError, match="Lennard-Jones"):
+            TableMetadata(domain=sphere(), potential=lennard_jones())
+        with pytest.raises(ValueError, match="Lennard-Jones"):
+            TableMetadata(torus(2.0), lennard_jones(), "source")
+        metadata = TableMetadata(domain=sphere(), potential=log_coulomb())
+        with pytest.raises(FrozenInstanceError):
+            metadata.potential = lennard_jones()
 
     def test_canonical_text_has_lf_endings_and_sorted_rows(self):
         t = EnergyTable()

@@ -174,6 +174,37 @@ class TestLocalMinimize:
         assert float.hex(result.energy) == "-0x1.452363595641fp+8"
         assert len(result.energy_trace) == 168
 
+    @pytest.mark.parametrize("pot", [log_coulomb(), INVERSE_R], ids=["log", "inverse-r"])
+    def test_line_search_stall_ends_the_run(self, monkeypatch, pot):
+        # No line-search energy resolves a gradient norm of 1e-15, so the
+        # halved step falls below the stall threshold long before the cap.
+        line_search, outcomes = optimizer._line_search, []
+
+        def recorded(*args):
+            outcomes.append(line_search(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(optimizer, "_line_search", recorded)
+        settings = OptimizerSettings(gradient_tolerance=1e-15)
+        result = local_minimize(random_configuration(sphere(), 6, 1), pot, settings)
+        max_iter, _ = settings.resolved(6)
+        assert not result.converged
+        assert outcomes[-1] is None and None not in outcomes[:-1]
+        assert len(result.energy_trace) == len(outcomes) < max_iter // 5
+        assert np.all(np.diff(result.energy_trace) < 0.0)
+        assert result.energy == total_energy(result.configuration, pot)
+
+    def test_inverse_r_stall_is_pinned(self):
+        # A build-table start on the 1/r kernel whose line search stalls just
+        # above the default tolerance.  An accept test that resolves smaller
+        # decreases is expected to move this pin.
+        start = random_configuration(sphere(), 67, derived_seed(0, 0))
+        result = local_minimize(start, INVERSE_R, OptimizerSettings())
+        assert not result.converged
+        assert float.hex(result.energy) == "0x1.e587da52cd375p+10"
+        assert len(result.energy_trace) == 119
+        assert result.gradient_norm == pytest.approx(1.14e-6, rel=0.01)
+
     @pytest.mark.parametrize(
         "domain, n, steps", [(sphere(), 200, 6), (torus(3.0), 64, 12)]
     )
