@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .problem import LOG, RIESZ, SPHERE
+from .problem import format_potential_token, log_coulomb, riesz, sphere
 from .table import EnergyTable, pair_specific
 
 LOG_SPHERE = "log-sphere"
@@ -64,6 +64,9 @@ def thomson_sphere_model() -> AsymptoticModel:
 # Each model family's constructor, by family name.
 MODELS = {LOG_SPHERE: log_sphere_model, THOMSON_SPHERE: thomson_sphere_model}
 
+# The kernel each model family describes on the unit sphere.
+_KERNELS = {LOG_SPHERE: log_coulomb(), THOMSON_SPHERE: riesz(-1.0)}
+
 
 def model_energy(model: AsymptoticModel, n: int) -> float:
     """Model estimate of the total ground-state energy at N >= 2."""
@@ -81,21 +84,12 @@ def pair_specific_model(model: AsymptoticModel, n: int) -> float:
 
 
 def check_model_compatibility(table: EnergyTable, model: AsymptoticModel) -> None:
-    """Reject table/model combinations whose metadata contradicts the family.
+    """Reject a table whose metadata names another problem than the model's family.
 
     Tables without domain/potential metadata pass (nothing to validate).
     """
-    meta = table.metadata
-    if meta.domain is not None and meta.domain.kind != SPHERE:
-        raise ValueError(
-            f"model family {model.family!r} describes the unit sphere, "
-            f"table domain is {meta.domain.kind!r}"
-        )
-    pot = meta.potential
-    if pot is None:
-        return
-    if model.family == LOG_SPHERE:
-        if pot.kind != LOG:
-            raise ValueError("the log-sphere model requires the logarithmic kernel")
-    elif not (pot.kind == RIESZ and pot.exponent == -1.0):
-        raise ValueError("the thomson-sphere model requires the 1/r kernel")
+    meta, kernel = table.metadata, _KERNELS[model.family]
+    if meta.domain not in (None, sphere()) or meta.potential not in (None, kernel):
+        raise ValueError(f"model family {model.family!r} describes "
+                         f"{format_potential_token(kernel)} on the unit sphere, "
+                         "not the problem in the table's headers")

@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,10 @@ from .problem import (
 from .table import format_rows, parse_table, write_table
 
 
+# One part of --n: an unsigned decimal count, or an inclusive range lo-hi.
+_COUNTS = re.compile(r"(\d+)(?:\s*-\s*(\d+))?")
+
+
 def parse_n_range(token: str) -> list[int]:
     """Comma-separated counts and inclusive lo-hi ranges, e.g. '2-6,12'."""
     values: list[int] = []
@@ -31,19 +36,13 @@ def parse_n_range(token: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        lo, dash, hi = part.partition("-") if not part.startswith("-") else ("", "", "")
-        try:
-            if dash:
-                a, b = int(lo), int(hi)
-                if b < a:
-                    raise InputError(f"descending range {part!r} in --n")
-                values.extend(range(a, b + 1))
-            else:
-                values.append(int(part))
-        except InputError:
-            raise
-        except ValueError as exc:
-            raise InputError(f"bad count {part!r} in --n: {exc}") from exc
+        match = _COUNTS.fullmatch(part)
+        if match is None:
+            raise InputError(f"bad count {part!r} in --n; expected a count or lo-hi")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if hi < lo:
+            raise InputError(f"descending range {part!r} in --n")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise InputError("--n selected no counts")
     return sorted(set(values))
@@ -114,7 +113,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptote(args: argparse.Namespace) -> int:
-    table = parse_table(args.input, allow_empty=True)
+    table = parse_table(args.input)
     model = asymptotics.MODELS[args.model]()
     asymptotics.check_model_compatibility(table, model)
     data_rows = table.counts()

@@ -74,14 +74,16 @@ _BB_GROW = 1e3
 _LBFGS_MEMORY = 8
 
 
-def _check_count(name: str, value) -> None:
-    """Require an integer (numpy integers included) of at least 1."""
+def _check_integer(name: str, value, low: int = 1, high: float = math.inf) -> None:
+    """Require an integer (numpy integers included) with low <= value < high."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if value >= high:
+        raise ValueError(f"{name} must be < {high}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ class OptimizerSettings:
     per-point tangent gradient norm.  Its default, 1e-6, sits above the
     roundoff floor of the line-search energy comparison: tolerances near
     1e-10 stall before they are met, and on the 1/r kernel at N = 51..80
-    about one run in four still stalls just above 1e-6.
+    about one run in four still stalls just above 1e-6.  ``seed`` is an
+    integer in [0, 2**64).
     """
 
     restarts: int = 50
@@ -103,11 +106,13 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("restarts", self.restarts)
+        _check_integer("restarts", self.restarts)
+        # A seed in [0, 2**64) reaches SeedSequence unchanged, so each seed names one run.
+        _check_integer("seed", self.seed, 0, 2**64)
         if not 0.0 < self.gradient_tolerance < math.inf:
             raise ValueError("gradient_tolerance must be positive and finite")
         if self.max_iterations is not None:
-            _check_count("max_iterations", self.max_iterations)
+            _check_integer("max_iterations", self.max_iterations)
 
     def resolved(self, n: int) -> tuple[int, float]:
         max_iter = self.max_iterations if self.max_iterations is not None else 50 * n
@@ -253,9 +258,7 @@ def local_minimize(
 
 def derived_seed(seed: int, restart: int) -> int:
     """Per-restart seed, independent of execution order and stable across processes."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFF_FFFF_FFFF_FFFF, spawn_key=(int(restart),)
-    )
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(restart),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -130,40 +130,35 @@ def validate_domain_potential(domain: DomainSpec, pot: PotentialSpec) -> None:
         raise ValueError("the Lennard-Jones kernel is only supported in free 3-space")
 
 
-def parse_domain_token(token: str) -> DomainSpec:
+# Each token name's constructor, the type of its argument (None: it takes
+# none) and what a missing argument is.
+_DOMAIN_NAMES = {SPHERE: (sphere, None, ""), FREE3: (free3, None, ""),
+                 TORUS: (torus, float, "an aspect ratio, e.g. torus:1.414")}
+_POTENTIAL_NAMES = {LOG: (log_coulomb, None, ""), LENNARD_JONES: (lennard_jones, None, ""),
+                    RIESZ: (riesz, float, "an exponent, e.g. riesz:-1"),
+                    "coulomb": (coulomb, int, "a dimension, e.g. coulomb:3")}
+
+
+def _parse_token(token: str, what: str, names: dict, expected: str):
+    """Build the spec a ``name`` or ``name:<argument>`` token names."""
     name, _, arg = token.partition(":")
-    if name == TORUS and not arg:
-        raise InputError("torus domain needs an aspect ratio, e.g. torus:1.414")
+    build, arg_type, needs = names.get(name, (None, None, ""))
+    if build is None or (arg_type is None and arg):
+        raise InputError(f"unknown {what} {token!r}; expected {expected}")
+    if arg_type is not None and not arg:
+        raise InputError(f"{name} {what} needs {needs}")
     try:
-        if name == SPHERE and not arg:
-            return sphere()
-        if name == FREE3 and not arg:
-            return free3()
-        if name == TORUS:
-            return torus(float(arg))
+        return build(arg_type(arg)) if arg_type else build()
     except ValueError as exc:
-        raise InputError(f"bad domain {token!r}: {exc}") from exc
-    raise InputError(f"unknown domain {token!r}; expected {DOMAIN_TOKENS}")
+        raise InputError(f"bad {what} {token!r}: {exc}") from exc
+
+
+def parse_domain_token(token: str) -> DomainSpec:
+    return _parse_token(token, "domain", _DOMAIN_NAMES, DOMAIN_TOKENS)
 
 
 def parse_potential_token(token: str) -> PotentialSpec:
-    name, _, arg = token.partition(":")
-    if name == RIESZ and not arg:
-        raise InputError("riesz potential needs an exponent, e.g. riesz:-1")
-    if name == "coulomb" and not arg:
-        raise InputError("coulomb potential needs a dimension, e.g. coulomb:3")
-    try:
-        if name == LOG and not arg:
-            return log_coulomb()
-        if name == LENNARD_JONES and not arg:
-            return lennard_jones()
-        if name == RIESZ:
-            return riesz(float(arg))
-        if name == "coulomb":
-            return coulomb(int(arg))
-    except ValueError as exc:
-        raise InputError(f"bad potential {token!r}: {exc}") from exc
-    raise InputError(f"unknown potential {token!r}; expected {POTENTIAL_TOKENS}")
+    return _parse_token(token, "potential", _POTENTIAL_NAMES, POTENTIAL_TOKENS)
 
 
 def format_potential_token(pot: PotentialSpec) -> str:

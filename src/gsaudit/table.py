@@ -5,9 +5,10 @@ Table file format (bit-exact round trip): UTF-8 text with LF line endings;
 aspect_ratio, source); data lines ``N<TAB>E`` with E written as a decimal
 string via shortest round-trip repr, so re-parsing reproduces the exact
 float.  Blank lines are ignored; duplicate N keeps the lower energy with a
-logged warning; N < 2, non-finite energies and headers that name no valid
-problem (an aspect ratio off the torus, a kernel its domain does not
-support) are input errors.
+logged warning; N < 2, non-finite energies, a file that is not UTF-8 and
+headers that name no valid problem (an aspect ratio off the torus, a kernel
+its domain does not support) are input errors.  A header-only file is an
+empty table.
 
 The domain and potential headers use the tokens of :mod:`gsaudit.problem`,
 the only package module this one imports, so reading, writing and auditing
@@ -52,7 +53,12 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class TableMetadata:
-    """The problem a table is for; a domain and a potential must form a supported pair."""
+    """The problem a table is for and where its rows come from.
+
+    A domain and a potential must form a supported pair, and ``source`` must
+    be one line without leading or trailing whitespace, so the ``#source``
+    header reads back as written.
+    """
 
     domain: DomainSpec | None = None
     potential: PotentialSpec | None = None
@@ -61,6 +67,8 @@ class TableMetadata:
     def __post_init__(self):
         if self.domain is not None and self.potential is not None:
             validate_domain_potential(self.domain, self.potential)
+        if self.source != self.source.strip() or len(self.source.splitlines()) > 1:
+            raise ValueError(f"source must be one line without outer whitespace: {self.source!r}")
 
 
 @dataclass
@@ -122,18 +130,20 @@ def table_digest(table: EnergyTable) -> str:
     return hashlib.sha256(_energy_rows(table).encode()).hexdigest()[:16]
 
 
-def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
+def parse_table(path: str | Path) -> EnergyTable:
     """Read a table file; see the module docstring for the format.
 
-    Malformed lines raise InputError naming the line number.  ``allow_empty``
-    admits header-only files (used by the asymptote subcommand, which can emit
-    a model over a requested range with no data rows).
+    Malformed lines raise InputError naming the file and line number, and a
+    file that is not UTF-8 raises one naming the file.  A header-only file is
+    an empty table, which ``monotonicity_audit`` refuses.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     headers: dict[str, str] = {}
     table = EnergyTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,8 +170,6 @@ def parse_table(path: str | Path, allow_empty: bool = False) -> EnergyTable:
             table.add(n, energy, label=headers.get("source", ""))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    if not table.entries and not allow_empty:
-        raise InputError(f"{path}: no rows")
     domain, potential = headers.get("domain"), headers.get("potential")
     try:
         if "aspect_ratio" in headers:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from gsaudit.asymptotics import (
 )
 from gsaudit.audit import EnergyTable, TableMetadata
 from gsaudit.cli import parse_table
-from gsaudit.problem import coulomb, log_coulomb, riesz, sphere, torus
+from gsaudit.problem import coulomb, free3, log_coulomb, riesz, sphere, torus
 
 # b = 3 sqrt(sqrt(3)/(8 pi)) zeta(1/2) (zeta(1/2, 1/3) - zeta(1/2, 2/3)) / sqrt(3),
 # the k-sum written with Hurwitz zeta values, evaluated at 30 digits with mpmath.
@@ -165,6 +166,23 @@ class TestResiduals:
             t = EnergyTable(metadata=TableMetadata(domain=sphere(), potential=pot))
             t.add(2, 0.5)
             check_model_compatibility(t, thomson_sphere_model())
+
+    @pytest.mark.parametrize(
+        "model, own, token, other",
+        [(log_sphere_model(), log_coulomb(), "log", riesz(-1.0)),
+         (thomson_sphere_model(), riesz(-1.0), "riesz:-1.0", log_coulomb())],
+        ids=["log-sphere", "thomson-sphere"],
+    )
+    def test_one_rule_for_domain_and_kernel(self, model, own, token, other):
+        # A table passes when each header is absent or names the family's problem.
+        for metadata in (TableMetadata(), TableMetadata(sphere()), TableMetadata(potential=own),
+                         TableMetadata(sphere(), own)):
+            check_model_compatibility(EnergyTable(metadata=metadata), model)
+        message = f"model family {model.family!r} describes {token} on the unit sphere"
+        for metadata in (TableMetadata(torus(2.0)), TableMetadata(free3(), own),
+                         TableMetadata(potential=other), TableMetadata(sphere(), riesz(-2.0))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_model_compatibility(EnergyTable(metadata=metadata), model)
 
     def test_log_table_consistent_with_leading_coefficient(self):
         table = parse_table(fixture_path("log_sphere_pair_n2000.tsv"))

@@ -67,6 +67,46 @@ class TestTokenParsing:
             with pytest.raises(InputError):
                 parse_n_range(token)
 
+    @pytest.mark.parametrize("token", ["+5", "1_0", "-5", "2-", "2-4,-5"])
+    def test_n_range_takes_unsigned_decimal_counts(self, token):
+        with pytest.raises(InputError, match="bad count"):
+            parse_n_range(token)
+
+    def test_spaces_around_the_range_dash(self):
+        assert parse_n_range("2 - 4") == [2, 3, 4]
+        assert parse_n_range(" 2- 4 , 7 ") == [2, 3, 4, 7]
+
+    def test_signed_count_exits_two_before_the_optimization(self, tmp_path, capsys):
+        out = tmp_path / "t.tsv"
+        rc = main(["optimize", "--domain", "sphere", "--potential", "log",
+                   "--n", "-5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad count '-5' in --n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parse, token, message",
+        [(parse_domain_token, "torus", "torus domain needs an aspect ratio, e.g. torus:1.414"),
+         (parse_domain_token, "pretzel",
+          "unknown domain 'pretzel'; expected sphere | torus:<ratio> | free3"),
+         (parse_domain_token, "sphere:2",
+          "unknown domain 'sphere:2'; expected sphere | torus:<ratio> | free3"),
+         (parse_domain_token, "torus:abc",
+          "bad domain 'torus:abc': could not convert string to float: 'abc'"),
+         (parse_potential_token, "riesz", "riesz potential needs an exponent, e.g. riesz:-1"),
+         (parse_potential_token, "coulomb", "coulomb potential needs a dimension, e.g. coulomb:3"),
+         (parse_potential_token, "coulomb:2",
+          "bad potential 'coulomb:2': Coulomb dimension must be an integer >= 3"),
+         (parse_potential_token, "coulomb:3.5",
+          "bad potential 'coulomb:3.5': invalid literal for int() with base 10: '3.5'"),
+         (parse_potential_token, "lj:1",
+          "unknown potential 'lj:1'; expected log | riesz:<s> | coulomb:<D> | lj")],
+    )
+    def test_token_error_messages(self, parse, token, message):
+        with pytest.raises(InputError) as info:
+            parse(token)
+        assert str(info.value) == message
+
 
 class TestParseTable:
     def test_fixture_metadata(self):
@@ -107,12 +147,28 @@ class TestParseTable:
         with pytest.raises(InputError, match="N"):
             parse_table(p)
 
-    def test_empty_data_section(self, tmp_path):
+    def test_empty_data_section(self, tmp_path, capsys):
+        # A header-only file is an empty table, which the audit refuses.
         p = tmp_path / "empty.tsv"
         p.write_text("#domain=sphere\n", encoding="utf-8")
-        with pytest.raises(InputError, match="no rows"):
+        table = parse_table(p)
+        assert table.entries == {}
+        assert table.metadata == TableMetadata(domain=sphere())
+        assert main(["audit", "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "empty table" in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "bytes.tsv"
+        p.write_bytes(b"\xff\xfe")
+        with pytest.raises(InputError, match="^" + re.escape(f"{p}: 'utf-8' codec")):
             parse_table(p)
-        assert parse_table(p, allow_empty=True).entries == {}
+        assert main(["audit", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ")
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -258,6 +314,39 @@ class TestRoundTrip:
         with pytest.raises(FrozenInstanceError):
             metadata.potential = lennard_jones()
 
+    def test_header_only_table_round_trips(self, tmp_path, capsys):
+        t = EnergyTable(metadata=TableMetadata(sphere(), log_coulomb(), "run 1"))
+        out = tmp_path / "t.tsv"
+        write_table(t, out)
+        again = parse_table(out)
+        assert again.entries == {}
+        assert again.metadata == t.metadata
+        assert table_digest(again) == table_digest(t)
+        assert main(["audit", "--input", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @settings(deadline=None)
+    @given(source=st.text())
+    def test_every_source_that_can_be_written_reads_back(self, source, tmp_path_factory):
+        try:
+            metadata = TableMetadata(sphere(), log_coulomb(), source)
+        except ValueError:
+            assert source != source.strip() or len(source.splitlines()) > 1
+            return
+        t = EnergyTable(metadata=metadata)
+        t.add(2, -1.0)
+        out = tmp_path_factory.mktemp("source") / "t.tsv"
+        write_table(t, out)
+        again = parse_table(out)
+        assert again.metadata == t.metadata
+        assert {n: e.energy for n, e in again.entries.items()} == {2: -1.0}
+        assert table_digest(again) == table_digest(t)
+
+    @pytest.mark.parametrize("source", ["run 1\n3\t-1.0", " padded ", "a\x1cb", "a\r", "x\u2028y"])
+    def test_metadata_refuses_a_source_that_does_not_read_back(self, source):
+        with pytest.raises(ValueError, match="source"):
+            TableMetadata(sphere(), log_coulomb(), source)
+
     def test_canonical_text_has_lf_endings_and_sorted_rows(self):
         t = EnergyTable()
         t.add(5, 1.0)
@@ -379,6 +468,16 @@ class TestOptimizeCommand:
         rc = main(["optimize", "--domain", "sphere", "--potential", "log",
                    "--n", "5-2", "--out", str(tmp_path / "x.tsv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_two(self, seed, tmp_path, capsys):
+        # Masked to 64 bits, either would run another seed's rows under its own header.
+        out = tmp_path / "x.tsv"
+        rc = main(["optimize", "--domain", "sphere", "--potential", "log",
+                   "--n", "2", "--restarts", "1", "--seed", seed, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: seed must be ")
+        assert not out.exists()
 
     def test_torus_run_writes_aspect_ratio(self, tmp_path, capsys):
         out = tmp_path / "torus.tsv"

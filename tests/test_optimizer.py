@@ -110,6 +110,19 @@ class TestSettings:
         assert s.resolved(10) == (500, 0.01)
         assert OptimizerSettings(max_iterations=7).resolved(10) == (7, 0.01)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, math.nan, "3"])
+    def test_seed_is_an_integer_below_two_to_the_64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerSettings(seed=seed)
+
+    def test_every_accepted_seed_names_its_own_run(self):
+        largest = OptimizerSettings(seed=np.uint64(2**64 - 1))
+        assert "seed=18446744073709551615 " in largest.digest()
+        assert derived_seed(largest.seed, 0) != derived_seed(0, 0)
+        assert derived_seed(2**64 - 1, 1) == int(
+            np.random.SeedSequence(2**64 - 1, spawn_key=(1,)).generate_state(1, np.uint64)[0]
+        )
+
     def test_derived_seeds_differ_per_restart(self):
         seeds = {derived_seed(0, r) for r in range(100)}
         assert len(seeds) == 100
