@@ -65,24 +65,20 @@ class AuditReport:
 def improved_upper_bound(table: EnergyTable, n: int) -> ImprovedBound | None:
     """Best upper bound on the true energy at N from the later table rows.
 
-    Minimizes (N(N-1) / (M(M-1))) * E(M) over all present M > N.  Returns
-    None when no later row improves on the recorded E(N) (or none exists);
-    ties in the minimum go to the smallest offset.
+    The bound is N(N-1) * min over present M > N of eps(M), each candidate
+    computed as ``N(N-1) * pair_specific(M, E(M))`` and paired with its
+    offset M - N, so ties go to the smallest offset.  Returns None when the
+    bound is not below the recorded E(N), which includes a table with no
+    row past N.
     """
     if n not in table.entries:
         raise KeyError(f"N={n} is not present in the table")
-    pairs_n = n * (n - 1)
-    best: float | None = None
-    best_gap = 0
-    for m in table.counts():
-        if m <= n:
-            continue
-        candidate = pairs_n * pair_specific(m, table.entries[m].energy)
-        if best is None or candidate < best:
-            best, best_gap = candidate, m - n
-    if best is None or not best < table.entries[n].energy:
-        return None
-    return ImprovedBound(best, best_gap)
+    bound, gap = min(
+        ((n * (n - 1) * pair_specific(m, entry.energy), m - n)
+         for m, entry in table.entries.items() if m > n),
+        default=(math.inf, 0),
+    )
+    return ImprovedBound(bound, gap) if bound < table.entries[n].energy else None
 
 
 def monotonicity_audit(table: EnergyTable, tolerance: float | None = None) -> AuditReport:
@@ -100,24 +96,18 @@ def monotonicity_audit(table: EnergyTable, tolerance: float | None = None) -> Au
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
     counts = table.counts()
-    eps = {n: table.pair_specific(n) for n in counts}
+    eps = [table.pair_specific(n) for n in counts]
     violations: list[Violation] = []
-    for i, n in enumerate(counts):
-        tau = tolerance if tolerance is not None else (
-            RELATIVE_TOLERANCE_BASE * max(1.0, abs(eps[n]))
-        )
-        for m in counts[i + 1:]:
-            delta = eps[m] - eps[n]
+    for i, (n, eps_n) in enumerate(zip(counts, eps)):
+        tau = RELATIVE_TOLERANCE_BASE * max(1.0, abs(eps_n)) if tolerance is None else tolerance
+        for m, eps_m in zip(counts[i + 1:], eps[i + 1:]):
+            delta = eps_m - eps_n
             if delta < -tau:
                 violations.append(Violation(n, m - n, delta))
-    bounds: dict[int, ImprovedBound] = {}
-    for n in sorted({v.n for v in violations}):
-        improvement = improved_upper_bound(table, n)
-        if improvement is not None:
-            bounds[n] = improvement
+    bounds = {n: improved_upper_bound(table, n) for n in sorted({v.n for v in violations})}
     return AuditReport(
         violations=tuple(violations),
-        improved_bounds=bounds,
+        improved_bounds={n: b for n, b in bounds.items() if b is not None},
         tolerance=tolerance if tolerance is not None else RELATIVE_TOLERANCE_BASE,
         relative=tolerance is None,
         table_digest=table_digest(table),

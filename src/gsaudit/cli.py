@@ -77,6 +77,8 @@ def report_records(report: AuditReport) -> list[dict]:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     table = parse_table(args.input)
+    if not table.entries:
+        raise InputError(f"{args.input}: cannot audit an empty table")
     report = monotonicity_audit(table, tolerance=args.tolerance)
     if args.format == "records":
         for record in report_records(report):

@@ -94,17 +94,13 @@ class EnergyTable:
         if not math.isfinite(energy):
             raise ValueError(f"energy at N={n} must be finite, got {energy!r}")
         old = self.entries.get(n)
+        kept = old is None or energy < old.energy
         if old is not None:
-            if energy >= old.energy:
-                logger.warning(
-                    "duplicate N=%d: keeping %r, discarding %r", n, old.energy, energy
-                )
-                return False
-            logger.warning(
-                "duplicate N=%d: keeping %r, discarding %r", n, energy, old.energy
-            )
-        self.entries[n] = TableEntry(float(energy), label)
-        return True
+            keep, drop = (energy, old.energy) if kept else (old.energy, energy)
+            logger.warning("duplicate N=%d: keeping %r, discarding %r", n, keep, drop)
+        if kept:
+            self.entries[n] = TableEntry(float(energy), label)
+        return kept
 
     def counts(self) -> list[int]:
         return sorted(self.entries)
@@ -167,7 +163,7 @@ def parse_table(path: str | Path) -> EnergyTable:
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad energy {fields[1]!r}") from exc
         try:
-            table.add(n, energy, label=headers.get("source", ""))
+            table.add(n, energy)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     domain, potential = headers.get("domain"), headers.get("potential")

@@ -129,6 +129,24 @@ class TestParseTable:
         with pytest.raises(InputError, match=r"bad\.tsv:1"):
             parse_table(p)
 
+    def test_bad_count_names_line_number(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("2\t0.5\nx\t1.0\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"bad\.tsv:2: bad count 'x'"):
+            parse_table(p)
+
+    def test_rows_carry_no_per_row_source(self, tmp_path):
+        # The source is the table's, so a #source line between rows changes
+        # nothing about the rows before it.
+        p = tmp_path / "sources.tsv"
+        p.write_text("#source=a\n2\t0.5\n#source=b\n3\t1.7\n", encoding="utf-8")
+        t = parse_table(p)
+        expected = EnergyTable()
+        expected.add(2, 0.5)
+        expected.add(3, 1.7)
+        assert t.entries == expected.entries
+        assert t.metadata.source == "b"
+
     def test_unknown_domain_value_lists_valid_ones(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("#domain=pretzel\n2\t0.5\n", encoding="utf-8")
@@ -374,6 +392,12 @@ class TestAuditCommand:
         rc = main(["audit", "--input", "/nonexistent/table.tsv"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_table_error_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "empty.tsv"
+        p.write_text("#domain=sphere\n", encoding="utf-8")
+        assert main(["audit", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: cannot audit an empty table\n"
 
     def test_records_re_derivable(self, capsys):
         path = fixture_path("thomson_sphere_tail.tsv")

@@ -287,6 +287,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             c.validate()
 
+    @pytest.mark.parametrize("angle", [-0.1, TWO_PI])
+    def test_validate_catches_torus_angle_out_of_range(self, angle):
+        Configuration(torus(1.414), np.array([[0.0, TWO_PI - 1e-9]])).validate()
+        c = Configuration(torus(1.414), np.array([[0.0, 1.0], [angle, 1.0]]))
+        with pytest.raises(ValueError, match="torus angles"):
+            c.validate()
+
     def test_coincident_points_representable(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         c = Configuration(sphere(), pts)

@@ -208,15 +208,36 @@ class TestLocalMinimize:
         assert result.energy == total_energy(result.configuration, pot)
 
     def test_inverse_r_stall_is_pinned(self):
-        # A build-table start on the 1/r kernel whose line search stalls just
-        # above the default tolerance.  An accept test that resolves smaller
-        # decreases is expected to move this pin.
+        # A build-table start on the 1/r kernel whose line search stalls near
+        # 1e-6.  An accept test that resolves smaller decreases is expected to
+        # move this pin.  The BLAS kernel moves the run's last bits and, at the
+        # default tolerance, whether it converges; at 1e-10 the run on every
+        # kernel ends at the stall exit, far below the iteration cap.
         start = random_configuration(sphere(), 67, derived_seed(0, 0))
-        result = local_minimize(start, INVERSE_R, OptimizerSettings())
+        settings = OptimizerSettings(gradient_tolerance=1e-10)
+        result = local_minimize(start, INVERSE_R, settings)
+        max_iter, _ = settings.resolved(67)
         assert not result.converged
-        assert float.hex(result.energy) == "0x1.e587da52cd375p+10"
-        assert len(result.energy_trace) == 119
-        assert result.gradient_norm == pytest.approx(1.14e-6, rel=0.01)
+        assert len(result.energy_trace) - 1 < max_iter
+        assert 1e-7 < result.gradient_norm < 1e-5
+        assert np.all(np.diff(result.energy_trace) < 0.0)
+
+    def test_non_descending_lbfgs_direction_drops_the_pairs(self, monkeypatch):
+        # With s.y > 0 the two-loop direction always descends, so only a
+        # broken product reaches this guard: the run must fall back to the
+        # BB step along -grad instead of climbing, and start its pairs afresh.
+        calls = []
+
+        def uphill(g, pairs):
+            calls.append(len(pairs))
+            return -g
+
+        monkeypatch.setattr(optimizer, "_two_loop", uphill)
+        start = random_configuration(sphere(), 12, 0)
+        result = local_minimize(start, log_coulomb(), OptimizerSettings())
+        assert calls and set(calls) == {1}
+        assert result.converged
+        assert np.all(np.diff(result.energy_trace) < 0.0)
 
     @pytest.mark.parametrize(
         "domain, n, steps", [(sphere(), 200, 6), (torus(3.0), 64, 12)]

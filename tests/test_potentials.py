@@ -29,6 +29,7 @@ from gsaudit.potentials import (
     total_energy_of_points,
 )
 from gsaudit.problem import (
+    PotentialSpec,
     coulomb,
     free3,
     lennard_jones,
@@ -90,6 +91,14 @@ class TestPotentialSpec:
         assert coulomb(3).exponent == -1.0
         with pytest.raises(ValueError):
             coulomb(2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown potential kind 'bogus'"):
+            PotentialSpec("bogus")
+
+    def test_parameterless_kernel_refuses_an_exponent(self):
+        with pytest.raises(ValueError, match="'log' takes no parameters"):
+            PotentialSpec("log", exponent=1.0)
 
     def test_lj_restricted_to_free_space(self):
         validate_domain_potential(free3(), lennard_jones())
