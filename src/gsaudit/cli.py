@@ -19,14 +19,14 @@ from pathlib import Path
 from . import asymptotics
 from .audit import AuditReport, monotonicity_audit
 from .problem import (
-    DOMAIN_TOKENS, POTENTIAL_TOKENS, InputError, parse_domain_token, parse_potential_token,
+    COUNT, DOMAIN_TOKENS, POTENTIAL_TOKENS, InputError, parse_domain_token, parse_potential_token,
 )
 # perfbench/workloads.py also reads parse_table and write_table from here.
 from .table import format_rows, parse_table, write_table
 
 
 # One part of --n: an unsigned decimal count, or an inclusive range lo-hi.
-_COUNTS = re.compile(r"(\d+)(?:\s*-\s*(\d+))?")
+_COUNTS = re.compile(rf"({COUNT.pattern})(?:\s*-\s*({COUNT.pattern}))?")
 
 
 def parse_n_range(token: str) -> list[int]:

@@ -1,7 +1,8 @@
 """Pair energy and gradient evaluation for the kernels of :mod:`gsaudit.problem`.
 
 Total energies are sums over all unordered pairs of the kernel evaluated at
-the chordal distance.  The reported energy is exactly rounded: it equals
+the chordal distance; the points are an (N, 3) array of ambient coordinates
+on every domain.  The reported energy is exactly rounded: it equals
 ``math.fsum`` over every pair energy bit for bit, so 12-significant-digit
 reference energies reproduce and permuting the point list cannot change the
 result.  It is summed without one Python float per pair: error-free
@@ -39,7 +40,7 @@ import threading
 
 import numpy as np
 
-from .geometry import Configuration, embed_points, tangent_project_points
+from .geometry import Configuration, tangent_project_points
 from .problem import LENNARD_JONES, LOG, DomainSpec, PotentialSpec, validate_domain_potential
 from .problem import log_coulomb, riesz  # noqa: F401  (perfbench/workloads.py reads them here)
 
@@ -303,23 +304,23 @@ def _exact_sum_terms(u: np.ndarray, h: np.ndarray) -> list[float]:
         u -= h
 
 
-def _embedded(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> np.ndarray:
-    """Ambient coordinates of at least two points, for a supported kernel."""
+def _pair_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> np.ndarray:
+    """At least two points as a float array, for a supported kernel."""
     validate_domain_potential(domain, pot)
     if points.shape[0] < 2:
         raise ValueError("pair energies need at least two points")
-    return embed_points(points, domain)
+    return np.asarray(points, dtype=float)
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
-    """Total pair energy of an (N, k) intrinsic-coordinate array; may be +inf.
+    """Total pair energy of an (N, 3) array of ambient points; may be +inf.
 
     Correctly rounded: the result equals ``math.fsum`` over the energies of
     all pairs i < j.  A coincident pair gives +inf, except for a kernel that
     vanishes at r = 0, where the pair adds 0.
     """
     terms = []
-    ends = _ends(_embedded(points, domain, pot))
+    ends = _ends(_pair_points(points, domain, pot))
     # A walk without weights; the block's squared distances are the working
     # space of the extraction.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -345,7 +346,7 @@ def total_energy(config: Configuration, pot: PotentialSpec) -> float:
 def energy_gradient_of_points(
     points: np.ndarray, domain: DomainSpec, pot: PotentialSpec
 ) -> tuple[float, np.ndarray]:
-    """Line-search energy and tangent gradient of an (N, k) intrinsic array.
+    """Line-search energy and tangent gradient of an (N, 3) array of ambient points.
 
     Both come from one walk over the pair blocks.  The energy equals
     :func:`total_energy_of_points` up to roundoff, coincident pairs included,
@@ -355,7 +356,7 @@ def energy_gradient_of_points(
     :func:`energy_gradient`, except that it is not finite where two points
     coincide or a kernel's derivative overflows; nothing here raises on it.
     """
-    x = _embedded(points, domain, pot)
+    x = _pair_points(points, domain, pot)
     n, k = x.shape
     ends = _ends(x)
     ones_x = ends[: k + 1].T
@@ -397,7 +398,7 @@ def energy_gradient(config: Configuration, pot: PotentialSpec) -> np.ndarray:
     """Per-point ambient gradient of the total energy, projected to the tangent planes.
 
     Row i is the tangent projection of
-    sum_{j != i} U'(r_ij) * (x_i - x_j) / r_ij in embedded coordinates.
+    sum_{j != i} U'(r_ij) * (x_i - x_j) / r_ij in ambient coordinates.
     Raises CoincidentPointsError when two points coincide or are so close
     that the gradient overflows.
     """

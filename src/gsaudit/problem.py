@@ -15,6 +15,7 @@ here, so the audit and the models name a problem without loading numpy.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 SPHERE = "sphere"
@@ -31,6 +32,10 @@ _POTENTIAL_KINDS = (LOG, RIESZ, LENNARD_JONES)
 
 DOMAIN_TOKENS = "sphere | torus:<ratio> | free3"
 POTENTIAL_TOKENS = "log | riesz:<s> | coulomb:<D> | lj"
+
+# A count, in --n and in table rows: ASCII digits, which int() and \d would
+# widen to signs, '_' separators and non-ASCII digits.
+COUNT = re.compile("[0-9]+")
 
 
 class InputError(ValueError):

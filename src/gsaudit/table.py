@@ -5,7 +5,8 @@ Table file format (bit-exact round trip): UTF-8 text with LF line endings;
 aspect_ratio, source); data lines ``N<TAB>E`` with E written as a decimal
 string via shortest round-trip repr, so re-parsing reproduces the exact
 float.  Blank lines are ignored; duplicate N keeps the lower energy with a
-logged warning; N < 2, non-finite energies, a file that is not UTF-8 and
+logged warning; a count that is not ASCII digits, N < 2, an energy with a
+'_' or a non-ASCII character, non-finite energies, a file that is not UTF-8 and
 headers that name no valid problem (an aspect ratio off the torus, a kernel
 its domain does not support) are input errors.  A header-only file is an
 empty table.
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .problem import (
+    COUNT,
     TORUS,
     DomainSpec,
     InputError,
@@ -154,16 +156,18 @@ def parse_table(path: str | Path) -> EnergyTable:
         fields = line.split()
         if len(fields) != 2:
             raise InputError(f"{path}:{lineno}: expected 'N<TAB>E', got {raw!r}")
+        count, energy = fields
+        if COUNT.fullmatch(count) is None:
+            raise InputError(f"{path}:{lineno}: bad count {count!r}")
+        # float() would also read '_' separators and non-ASCII digits.
+        if "_" in energy or not energy.isascii():
+            raise InputError(f"{path}:{lineno}: bad energy {energy!r}")
         try:
-            n = int(fields[0])
+            value = float(energy)
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad count {fields[0]!r}") from exc
+            raise InputError(f"{path}:{lineno}: bad energy {energy!r}") from exc
         try:
-            energy = float(fields[1])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad energy {fields[1]!r}") from exc
-        try:
-            table.add(n, energy)
+            table.add(int(count), value)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     domain, potential = headers.get("domain"), headers.get("potential")

@@ -67,7 +67,8 @@ class TestTokenParsing:
             with pytest.raises(InputError):
                 parse_n_range(token)
 
-    @pytest.mark.parametrize("token", ["+5", "1_0", "-5", "2-", "2-4,-5"])
+    @pytest.mark.parametrize("token", ["+5", "1_0", "-5", "2-", "2-4,-5", "\u0663-\u0665",
+                                       "\uff12", "2-\u0664"])
     def test_n_range_takes_unsigned_decimal_counts(self, token):
         with pytest.raises(InputError, match="bad count"):
             parse_n_range(token)
@@ -431,6 +432,25 @@ class TestAuditCommand:
         assert "bad.tsv:2" in captured.err
         assert "no violations" not in captured.out
         assert "improved bound" not in captured.out
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1_0\t5.0", "bad count '1_0'"), ("+3\t1.7", "bad count '+3'"),
+         ("\u0663\t1.7", "bad count '\u0663'"), ("\uff13\t1.7", "bad count '\uff13'"),
+         ("3\t1_7.0", "bad energy '1_7.0'"), ("3\t\u0661.\u0667", "bad energy '\u0661.\u0667'")],
+        ids=["underscore-count", "signed-count", "arabic-indic-count", "fullwidth-count",
+             "underscore-energy", "arabic-indic-energy"],
+    )
+    def test_row_token_that_int_or_float_would_widen_exits_two(self, row, message, tmp_path,
+                                                                 capsys):
+        # Counts are ASCII digits and energies ASCII without '_' separators,
+        # though int() and float() read all of these.
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"2\t0.5\n{row}\n", encoding="utf-8")
+        assert main(["audit", "--input", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}:2: {message}")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_tolerance_exit_two(self, token, tmp_path, capsys):

@@ -5,11 +5,9 @@ import pytest
 
 from gsaudit.geometry import (
     MAX_TORUS_STEP,
-    TWO_PI,
     Configuration,
     StepTooLargeError,
-    embed_points,
-    intrinsic_dim,
+    _core,
     random_configuration,
     retract_points,
     surface_normals,
@@ -21,9 +19,8 @@ ALL_DOMAINS = [sphere(), torus(1.414), free3()]
 
 
 def chordal_distance(p, q, domain):
-    """Euclidean distance between the embedded images of two points."""
-    a, b = embed_points(np.array([p, q], dtype=float), domain)
-    return float(np.linalg.norm(a - b))
+    """Euclidean distance between two ambient points."""
+    return float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
 
 
 def random_rotation(rng):
@@ -66,28 +63,32 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec("klein-bottle")
 
-    def test_intrinsic_dims(self):
-        assert intrinsic_dim(sphere()) == 3
-        assert intrinsic_dim(torus(2.0)) == 2
-        assert intrinsic_dim(free3()) == 3
 
+class TestCore:
+    def test_sphere_core_is_the_origin(self):
+        pts = random_configuration(sphere(), 5, 3).points
+        assert np.array_equal(_core(pts, sphere()), np.zeros((5, 3)))
 
-class TestEmbed:
-    def test_sphere_identity(self):
-        p = np.array([0.0, 0.0, 1.0])
-        assert np.array_equal(embed_points(p[None], sphere())[0], p)
+    def test_torus_core_is_on_the_center_circle(self):
+        d = torus(1.414)
+        pts = random_configuration(d, 50, 3).points
+        core = _core(pts, d)
+        assert np.all(core[:, 2] == 0.0)
+        assert np.allclose(np.hypot(core[:, 0], core[:, 1]), 1.414, rtol=0.0, atol=1e-15)
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        assert np.allclose(core[:, :2], 1.414 * pts[:, :2] / rho[:, None], rtol=0.0, atol=1e-15)
 
-    def test_torus_outer_equator(self):
-        got = embed_points(np.array([[0.0, 0.0]]), torus(1.414))[0]
-        assert np.allclose(got, [2.414, 0.0, 0.0], atol=1e-12)
+    def test_torus_core_on_the_axis(self):
+        # arctan2(0, 0) = 0 picks one of the equally near points of the circle.
+        assert _core(np.array([[0.0, 0.0, 0.5]]), torus(3.0)).tolist() == [[3.0, 0.0, 0.0]]
 
-    def test_torus_inner_equator(self):
-        got = embed_points(np.array([[math.pi, 0.0]]), torus(1.414))[0]
-        assert np.allclose(got, [0.414, 0.0, 0.0], atol=1e-12)
-
-    def test_free3_identity(self):
-        p = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(embed_points(p[None], free3())[0], p)
+    @pytest.mark.parametrize("point, normal", [([2.414, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                               ([0.414, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+                                               ([0.0, 1.414, 1.0], [0.0, 0.0, 1.0])],
+                             ids=["outer-equator", "inner-equator", "top"])
+    def test_torus_normals(self, point, normal):
+        got = surface_normals(np.array([point]), torus(1.414))[0]
+        assert np.allclose(got, normal, rtol=0.0, atol=1e-12)
 
 
 class TestChordalDistance:
@@ -155,15 +156,17 @@ class TestRandomConfiguration:
         assert np.linalg.norm(c.points.mean(axis=0)) < 0.05
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_torus_theta_reflection_symmetry(self, seed):
-        # the surface measure is invariant under theta -> 2*pi - theta
+    def test_torus_reflection_symmetry(self, seed):
+        # the surface measure is invariant under z -> -z
         c = random_configuration(torus(1.414), 10000, seed)
-        frac = np.mean(c.points[:, 0] < math.pi)
+        frac = np.mean(c.points[:, 2] > 0.0)
         assert abs(frac - 0.5) < 0.03
 
-    def test_torus_angles_in_range(self):
+    def test_torus_points_lie_on_the_surface(self):
         c = random_configuration(torus(1.414), 500, 9)
-        assert np.all(c.points >= 0.0) and np.all(c.points < TWO_PI)
+        rho = np.hypot(c.points[:, 0], c.points[:, 1])
+        assert np.all((0.414 - 1e-12 <= rho) & (rho <= 2.414 + 1e-12))
+        assert np.all(np.abs(c.points[:, 2]) <= 1.0)
         c.validate()
 
     def test_free3_inside_cube(self):
@@ -206,23 +209,17 @@ class TestTangentProject:
 
 
 class TestRetract:
-    @pytest.mark.parametrize("domain", [sphere(), free3()], ids=lambda d: d.kind)
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: d.kind)
     def test_zero_step_is_identity(self, domain):
         pts = random_configuration(domain, 10, 8).points
         out = retract_points(pts, np.zeros((10, 3)), domain)
         assert np.array_equal(out, pts)
 
-    def test_zero_step_torus_within_angle_reduction(self):
-        pts = random_configuration(torus(1.414), 10, 8).points
-        out = retract_points(pts, np.zeros((10, 3)), torus(1.414))
-        assert np.max(np.abs(out - pts)) < 1e-12
-
-    def test_torus_angle_stays_below_two_pi(self):
-        # phi = atan2(-1e-17, R + 1) is a tiny negative angle; np.mod rounds
-        # it up to 2 pi, which validate rejects.
-        out = retract_points(np.array([[0.0, 0.0]]), np.array([[0.0, -1e-17, 0.0]]), torus(3.0))
-        assert out.tolist() == [[0.0, 0.0]]
-        Configuration(torus(3.0), out).validate()
+    def test_torus_tiny_step_stays_on_the_surface(self):
+        d = torus(3.0)
+        out = retract_points(np.array([[4.0, 0.0, 0.0]]), np.array([[0.0, -1e-17, 0.0]]), d)
+        assert out.tolist() == [[4.0, -1e-17, 0.0]]
+        Configuration(d, out).validate()
 
     def test_sphere_norm_restored(self):
         rng = np.random.default_rng(31)
@@ -242,27 +239,47 @@ class TestRetract:
         angle = math.atan2(np.linalg.norm(np.cross(p, q)), float(np.dot(p, q)))
         assert abs(angle - eps) < 1e-15
 
-    def test_torus_roundtrip_small_steps(self):
-        d = torus(1.414)
+    @pytest.mark.parametrize("ratio", [1.05, 1.414, 3.0])
+    def test_torus_retraction_is_the_nearest_point(self, ratio):
+        # Brute force: no point of a dense (theta, phi) grid on the torus is
+        # nearer to p + s than the retracted point, and the nearest grid point
+        # is within one grid spacing of it.
+        d = torus(ratio)
         rng = np.random.default_rng(33)
         pts = random_configuration(d, 25, 3).points
-        steps = tangent_project_points(pts, 0.05 * rng.standard_normal((25, 3)), d)
+        steps = tangent_project_points(pts, 0.1 * rng.standard_normal((25, 3)), d)
+        assert np.all(np.linalg.norm(steps, axis=1) < MAX_TORUS_STEP)
         out = retract_points(pts, steps, d)
         Configuration(d, out).validate()
-        # the retracted point must be the nearest torus point: it beats a
-        # ring of probe points around it
-        moved = embed_points(pts, d) + steps
-        best = np.linalg.norm(moved - embed_points(out, d), axis=1)
-        for delta in (-0.01, 0.01):
-            for col in (0, 1):
-                probe = out.copy()
-                probe[:, col] = np.mod(probe[:, col] + delta, TWO_PI)
-                probe_dist = np.linalg.norm(moved - embed_points(probe, d), axis=1)
-                assert np.all(best <= probe_dist + 1e-15)
+        angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        theta, phi = (a.ravel() for a in np.meshgrid(angles, angles))
+        ring = ratio + np.cos(theta)
+        grid = np.column_stack((ring * np.cos(phi), ring * np.sin(phi), np.sin(theta)))
+        spacing = (ratio + 1.0) * (angles[1] - angles[0])
+        for moved, got in zip(pts + steps, out):
+            nearest = float(np.min(np.linalg.norm(grid - moved, axis=1)))
+            dist = float(np.linalg.norm(got - moved))
+            assert dist <= nearest + 1e-15
+            assert nearest - dist <= spacing
+
+    def test_torus_step_onto_the_axis(self):
+        # On torus(1.05), the tangent plane at the point with cos theta = -1/R
+        # passes through the origin, at distance sqrt(R^2 - 1) < MAX_TORUS_STEP.
+        d = torus(1.05)
+        c = -1.0 / 1.05
+        p = np.array([[1.05 + c, 0.0, math.sqrt(1.0 - c * c)]])
+        for step in (-p, tangent_project_points(p, -p, d)):
+            assert np.linalg.norm(p + step) < 1e-15
+            assert abs(np.linalg.norm(step) - math.sqrt(1.05**2 - 1.0)) < 1e-15
+            out = retract_points(p, step, d)
+            Configuration(d, out).validate()
+            # The inner equator, every point of which is equally near the axis.
+            assert abs(np.hypot(out[0, 0], out[0, 1]) - 0.05) < 1e-15
+            assert abs(out[0, 2]) < 1e-15
 
     def test_torus_large_step_rejected(self):
         d = torus(1.414)
-        p = np.array([[0.25, 0.5]])
+        p = random_configuration(d, 1, 0).points
         step = np.array([[0.0, 0.0, MAX_TORUS_STEP]])
         with pytest.raises(StepTooLargeError):
             retract_points(p, step, d)
@@ -274,25 +291,37 @@ class TestRetract:
 
 
 class TestConfiguration:
-    def test_shape_validation(self):
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: d.kind)
+    def test_shape_validation(self, domain):
+        # Points are ambient 3-vectors on every domain; an angle array is refused.
         with pytest.raises(ValueError):
-            Configuration(sphere(), np.zeros((3, 2)))
+            Configuration(domain, np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            Configuration(torus(1.414), np.zeros((3, 3)))
+            Configuration(domain, np.zeros(3))
         with pytest.raises(ValueError):
-            Configuration(sphere(), np.zeros((0, 3)))
+            Configuration(domain, np.zeros((0, 3)))
 
     def test_validate_catches_bad_sphere_point(self):
         c = Configuration(sphere(), np.array([[2.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             c.validate()
 
-    @pytest.mark.parametrize("angle", [-0.1, TWO_PI])
-    def test_validate_catches_torus_angle_out_of_range(self, angle):
-        Configuration(torus(1.414), np.array([[0.0, TWO_PI - 1e-9]])).validate()
-        c = Configuration(torus(1.414), np.array([[0.0, 1.0], [angle, 1.0]]))
-        with pytest.raises(ValueError, match="torus angles"):
+    @pytest.mark.parametrize("x", [1.414, 2.414 + 1e-9, 3.0],
+                             ids=["on-the-center-circle", "just-outside", "outside"])
+    def test_validate_catches_point_off_the_torus(self, x):
+        Configuration(torus(1.414), np.array([[2.414, 0.0, 0.0]])).validate()
+        c = Configuration(torus(1.414), np.array([[0.414, 0.0, 0.0], [x, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="torus point lies"):
             c.validate()
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validate_refuses_non_finite_points(self, domain, bad):
+        pts = random_configuration(domain, 2, 5).points
+        Configuration(domain, pts).validate()
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Configuration(domain, pts).validate()
 
     def test_coincident_points_representable(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from gsaudit import potentials
 from gsaudit.geometry import (
     Configuration,
-    embed_points,
     random_configuration,
     retract_points,
     surface_normals,
@@ -323,7 +322,7 @@ class TestEngineMatchesScalarKernel:
 
     def test_energy_is_fsum_of_pair_energies(self, domain, pot):
         config = random_configuration(domain, 9, 31)
-        x = embed_points(config.points, domain)
+        x = config.points
         pairs = [
             pair_formula(pot, float(np.linalg.norm(x[i] - x[j])))[0]
             for i in range(9) for j in range(i + 1, 9)
@@ -332,7 +331,7 @@ class TestEngineMatchesScalarKernel:
 
     def test_energy_is_exactly_rounded_over_row_blocks(self, domain, pot, monkeypatch):
         points = random_configuration(domain, 9, 37).points
-        x = embed_points(points, domain)
+        x = points
         r2 = []
         for i in range(9):
             for j in range(i + 1, 9):
@@ -364,7 +363,7 @@ class TestEngineMatchesScalarKernel:
 
     def test_gradient_rows_match_pair_sum(self, domain, pot):
         config = random_configuration(domain, 9, 32)
-        x = embed_points(config.points, domain)
+        x = config.points
         ambient = np.zeros_like(x)
         for i in range(9):
             for j in range(9):
@@ -684,7 +683,7 @@ def test_walk_bits_do_not_depend_on_blas_threads():
 def test_duplicated_point_in_general_position_rejected(domain):
     points = random_configuration(domain, 6, 41).points
     points[4] = points[1]
-    assert np.all(np.abs(embed_points(points, domain)[1]) > 1e-3)
+    assert np.all(np.abs(points[1]) > 1e-3)
     with pytest.raises(CoincidentPointsError):
         energy_gradient(Configuration(domain, points), riesz(-1.0))
 
