@@ -57,15 +57,18 @@ class Configuration:
     def validate(self) -> None:
         """Check that every coordinate is finite and every point lies on the surface.
 
-        On the sphere and the torus, each point's distance from its nearest
-        core point must be 1 to within 1e-12.  Raises ValueError otherwise.
+        On the sphere and the torus, each point p's distance from its nearest
+        core point must be 1 to within 1e-12 * max(1, |p|), the rounding of
+        coordinates as large as p's.  Raises ValueError otherwise.
         """
         if not np.isfinite(self.points).all():
             raise ValueError("point coordinates must be finite")
         normals = surface_normals(self.points, self.domain)
         if normals is not None:
-            worst = float(np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)))
-            if not worst <= 1e-12:
+            off = np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+            bad = off > 1e-12 * np.maximum(1.0, np.linalg.norm(self.points, axis=1))
+            if bad.any():
+                worst = float(np.max(off[bad]))
                 raise ValueError(f"{self.domain.kind} point lies {worst:.3e} off the surface")
 
 

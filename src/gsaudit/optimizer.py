@@ -284,9 +284,8 @@ def build_table(
     """One multistart candidate energy per requested N, as an energy table."""
     if any(n < 2 for n in n_values):
         raise ValueError("all table rows need N >= 2")
-    label = settings.digest()
     table = EnergyTable(
-        metadata=TableMetadata(domain=domain, potential=pot, source=label)
+        metadata=TableMetadata(domain=domain, potential=pot, source=settings.digest())
     )
     for n in sorted(set(n_values)):
         result = multistart(domain, pot, n, settings)
@@ -295,7 +294,7 @@ def build_table(
                 "N=%d: best restart %d did not converge (gradient norm %.3g)",
                 n, result.restart_index, result.gradient_norm,
             )
-        table.add(n, result.energy, label=label)
+        table.add(n, result.energy)
     return table
 
 

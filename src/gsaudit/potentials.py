@@ -24,11 +24,11 @@ in both directions; the gradient applies the weight U'(r)/r of every other
 pair, visited once, to both of its ends.  Each step of a block is one numpy
 call over the whole block: each coordinate's differences and each side's
 weighted sums are BLAS products, whose bits do not depend on the number of
-BLAS threads, and the exact energy's walk computes no weights.  A walk of
-two or more blocks (N > 256) runs on the calling thread and the helpers of
-one cached pool, started by the first such walk and kept, one thread per
-usable CPU up to two; each block's results are reduced in block order, so
-every result is bit for bit the same whatever the number of threads.
+BLAS threads.  A walk of two or more blocks (N > 256) runs on the calling
+thread and the helpers of one cached pool, started by the first such walk
+and kept, one thread per usable CPU up to two; each block's results are
+reduced in block order, so every result is bit for bit the same whatever the
+number of threads.
 """
 
 from __future__ import annotations
@@ -51,31 +51,26 @@ class CoincidentPointsError(ValueError):
     """Two points coincide where the requested quantity is undefined."""
 
 
-def _kernel(
-    pot: PotentialSpec, r2: np.ndarray, u: np.ndarray, weights: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(pot: PotentialSpec, r2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """U(r) and U'(r)/r at squared separations r2 >= 0, as ``(u, w)``.
 
     The one place where each kernel's value and derivative are written.  U
-    goes into the buffer u and the weight w over r2 itself; without
-    ``weights``, r2 is returned as it is.  At r2 = 0 the math gives the
-    kernel's limit: U is +inf, or -0.0 for the power law with 0 < s < 2, and
-    w is +-inf or nan.  Callers silence the divide, overflow and invalid
-    warnings on the way.
+    goes into the buffer u and the weight w over r2 itself.  At r2 = 0 the
+    math gives the kernel's limit: U is +inf, or -0.0 for the power law with
+    0 < s < 2, and w is +-inf or nan.  Callers silence the divide, overflow
+    and invalid warnings on the way.
     """
     if pot.kind == LOG:
         np.log(r2, out=u)
         u *= -0.5
-        if weights:
-            np.divide(-1.0, r2, out=r2)
+        np.divide(-1.0, r2, out=r2)
     elif pot.kind == LENNARD_JONES:
         # Below r2 ~ 1e-103 r^-6 overflows, and inf - inf would be nan; capped
         # at the largest float, its square still gives U = +inf.
         inv6 = np.minimum(np.power(r2, -3.0), _LARGEST)
         inv12 = inv6 * inv6
         np.subtract(inv12, inv6, out=u)
-        if weights:
-            np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
+        np.divide(6.0 * inv6 - 12.0 * inv12, r2, out=r2)
     else:
         # For s below about -1.9, r^s overflows at the tiniest r2; +inf is
         # then the energy of the pair.  U'(r)/r = s U / r2 takes no second
@@ -89,9 +84,8 @@ def _kernel(
             np.power(r2, 0.5 * s, out=u)
             if s > 0.0:
                 np.negative(u, out=u)
-        if weights:
-            np.divide(u, r2, out=r2)
-            r2 *= s
+        np.divide(u, r2, out=r2)
+        r2 *= s
     return u, r2
 
 
@@ -176,8 +170,7 @@ def _ends(x: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _pair_block(ends: np.ndarray, pot: PotentialSpec, a: int, m: int, buffers: tuple,
-                weights: bool) -> tuple:
+def _pair_block(ends: np.ndarray, pot: PotentialSpec, a: int, m: int, buffers: tuple) -> tuple:
     """Kernel values and weights ``(u, w)`` of the m rows from row a on.
 
     The block holds the pairs of rows a <= i < a + m with themselves and
@@ -187,8 +180,6 @@ def _pair_block(ends: np.ndarray, pot: PotentialSpec, a: int, m: int, buffers: t
     directions, with its diagonal zeroed; in ``u`` the square's lower
     triangle and diagonal are zeroed, so u holds each pair once.  The
     columns right of the square hold each pair with a later row once.
-    Without ``weights``, w is the block's squared distances, left for the
-    caller to overwrite.
 
     Each coordinate's differences x_i - x_j are one BLAS product with inner
     dimension 2, [x_i, 1] @ [1; -x_j]: both of its products are exact, so
@@ -208,29 +199,28 @@ def _pair_block(ends: np.ndarray, pot: PotentialSpec, a: int, m: int, buffers: t
         if c:
             r2 += d
     np.fill_diagonal(r2, 1.0)
-    u, w = _kernel(pot, r2, d, weights)
+    u, w = _kernel(pot, r2, d)
     np.copyto(u[:, :m], 0.0, where=_LOWER[:m, :m])
-    if weights:
-        np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(w, 0.0)
     return u, w
 
 
-def _walk(ends: np.ndarray, pot: PotentialSpec, visit, reduce, weights: bool = True) -> None:
+def _walk(ends: np.ndarray, pot: PotentialSpec, visit, reduce) -> None:
     """Call ``reduce(visit(a, u, w))`` for each row block of a pair matrix, in order.
 
     The matrix is that of the points whose operands :func:`_ends` made
     ``ends``.  The blocks are those of :func:`_blocks`, as
-    :func:`_pair_block` makes them, with or without ``weights``; u and w are
-    valid until visit returns.  A walk of two or more blocks runs visit on
-    up to ``_THREADS`` threads, the calling one included, each with its own
-    buffers, as large as the largest block.  A block's result is reduced as soon as every
-    earlier block's has been, by whichever thread completes that prefix,
-    under a lock; so reduce sees the blocks in order, one at a time, and the
-    outcome does not depend on the number of threads.  Every step of a
-    block is a numpy call over the whole block, most of them BLAS products
-    and ufuncs that release the GIL, so the threads overlap.  The caller
-    silences numpy's divide, overflow and invalid warnings for its own
-    thread; the helper threads of :func:`_helpers` run with them silenced.
+    :func:`_pair_block` makes them; u and w are valid until visit returns.
+    A walk of two or more blocks runs visit on up to ``_THREADS`` threads,
+    the calling one included, each with its own buffers, as large as the
+    largest block.  A block's result is reduced as soon as every earlier
+    block's has been, by whichever thread completes that prefix, under a
+    lock; so reduce sees the blocks in order, one at a time, and the outcome
+    does not depend on the number of threads.  Every step of a block is a
+    numpy call over the whole block, most of them BLAS products and ufuncs
+    that release the GIL, so the threads overlap.  The caller silences
+    numpy's divide, overflow and invalid warnings for its own thread; the
+    helper threads of :func:`_helpers` run with them silenced.
     """
     n = ends.shape[1]
     blocks = _blocks(n)
@@ -239,7 +229,7 @@ def _walk(ends: np.ndarray, pot: PotentialSpec, visit, reduce, weights: bool = T
     if threads == 1:
         buffers = np.empty(size), np.empty(size)
         for a, m in blocks:
-            reduce(visit(a, *_pair_block(ends, pot, a, m, buffers, weights)))
+            reduce(visit(a, *_pair_block(ends, pot, a, m, buffers)))
         return
 
     lock = threading.Lock()
@@ -256,7 +246,7 @@ def _walk(ends: np.ndarray, pot: PotentialSpec, visit, reduce, weights: bool = T
             if claimed is None:
                 return
             k, (a, m) = claimed
-            result = visit(a, *_pair_block(ends, pot, a, m, buffers, weights))
+            result = visit(a, *_pair_block(ends, pot, a, m, buffers))
             with lock:
                 results[k] = result
                 while reduced < len(results) and results[reduced] is not None:
@@ -305,11 +295,12 @@ def _exact_sum_terms(u: np.ndarray, h: np.ndarray) -> list[float]:
 
 
 def _pair_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> np.ndarray:
-    """At least two points as a float array, for a supported kernel."""
+    """The points as an (N, 3) float array with N >= 2, for a supported kernel."""
     validate_domain_potential(domain, pot)
-    if points.shape[0] < 2:
-        raise ValueError("pair energies need at least two points")
-    return np.asarray(points, dtype=float)
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] != 3:
+        raise ValueError("pair energies need an (N, 3) array of at least two points")
+    return x
 
 
 def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: PotentialSpec) -> float:
@@ -321,10 +312,8 @@ def total_energy_of_points(points: np.ndarray, domain: DomainSpec, pot: Potentia
     """
     terms = []
     ends = _ends(_pair_points(points, domain, pot))
-    # A walk without weights; the block's squared distances are the working
-    # space of the extraction.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _walk(ends, pot, lambda a, u, r2: _exact_sum_terms(u, r2), terms.extend, False)
+        _walk(ends, pot, lambda a, u, w: _exact_sum_terms(u, w), terms.extend)
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -391,7 +380,7 @@ def energy_gradient_of_points(
     # pair the weights are infinite or nan.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _walk(ends, pot, visit, reduce)
-        return energy, tangent_project_points(points, grad, domain)
+        return energy, tangent_project_points(x, grad, domain)
 
 
 def energy_gradient(config: Configuration, pot: PotentialSpec) -> np.ndarray:

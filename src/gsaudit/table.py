@@ -89,14 +89,17 @@ class EnergyTable:
         """Insert an entry under the keep-lower rule; returns True if it was kept.
 
         Raises ValueError for N < 2 or a non-finite energy, which no
-        configuration has.
+        configuration has.  -0.0 ranks below 0.0, so duplicates give the same
+        table, and digest, in any order.
         """
         if n < 2:
             raise ValueError(f"table rows need N >= 2, got N={n}")
         if not math.isfinite(energy):
             raise ValueError(f"energy at N={n} must be finite, got {energy!r}")
         old = self.entries.get(n)
-        kept = old is None or energy < old.energy
+        kept = old is None or energy < old.energy or (
+            energy == old.energy and math.copysign(1.0, energy) < math.copysign(1.0, old.energy)
+        )
         if old is not None:
             keep, drop = (energy, old.energy) if kept else (old.energy, energy)
             logger.warning("duplicate N=%d: keeping %r, discarding %r", n, keep, drop)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsaudit.audit
 from conftest import fixture_path
@@ -162,6 +164,84 @@ class TestImprovedUpperBound:
         assert result.bound == 2 * pair_specific(3, 3.0)
 
 
+def audit_oracle(rows, tolerance):
+    """The audit of a list of rows, from the definitions, one pair at a time.
+
+    Duplicate rows keep the lower energy, with -0.0 below 0.0.  A pair
+    N < M is a violation when eps(M) - eps(N) < -tau, and a flagged N's bound
+    is the min over later rows M of (N(N-1) * eps(M), M - N), or None when
+    not below E(N).
+    """
+    table = {}
+    for n, e in rows:
+        if n not in table or (e, math.copysign(1.0, e)) < (table[n], math.copysign(1.0, table[n])):
+            table[n] = e
+    eps = {n: e / (n * (n - 1)) for n, e in table.items()}
+    violations = []
+    for n in sorted(table):
+        tau = RELATIVE_TOLERANCE_BASE * max(1.0, abs(eps[n])) if tolerance is None else tolerance
+        for m in sorted(table):
+            if m > n and eps[m] - eps[n] < -tau:
+                violations.append((n, m - n, eps[m] - eps[n]))
+    bounds = {}
+    for n in sorted({v[0] for v in violations}):
+        bound, gap = min((n * (n - 1) * eps[m], m - n) for m in table if m > n)
+        bounds[n] = (bound, gap) if bound < table[n] else None
+    return violations, bounds
+
+
+@st.composite
+def audit_rows(draw):
+    """2 to 40 counts in [2, 200] and up to 6 duplicate rows, in a random order.
+
+    Pair-specific energies come from a few dyadic values and both zeros
+    (exact ties), from values a few units in the last place apart (where a
+    bound can round to E(N)), from values 1e-7 apart (near both tolerances)
+    and from any float in [-10, 10].
+    """
+    counts = draw(st.lists(st.integers(2, 200), min_size=2, max_size=40, unique=True))
+    eps = st.one_of(
+        st.integers(-16, 16).map(lambda k: k / 8),
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-8, 8).map(lambda k: 1.0 + k * 2.0 ** -52),
+        st.integers(-30, 30).map(lambda k: 1.0 + k * 1e-7),
+        st.floats(-10.0, 10.0),
+    )
+    rows = [(n, draw(eps) * (n * (n - 1))) for n in counts]
+    rows += [(n, draw(eps) * (n * (n - 1))) for n in draw(st.lists(st.sampled_from(counts),
+                                                                    max_size=6))]
+    return draw(st.permutations(rows))
+
+
+class TestAuditMatchesOracle:
+    @settings(deadline=None)
+    @given(rows=audit_rows(), tolerance=st.sampled_from([None, 0.0, 1e-6]), data=st.data())
+    def test_report_is_the_definitional_audit(self, rows, tolerance, data):
+        report = monotonicity_audit(make_table(rows), tolerance)
+        violations, bounds = audit_oracle(rows, tolerance)
+        assert [(v.n, v.gap, v.delta_eps.hex()) for v in report.violations] == [
+            (n, gap, delta.hex()) for n, gap, delta in violations
+        ]
+        assert {n: (b.bound.hex(), b.witness_gap) for n, b in report.improved_bounds.items()} == {
+            n: (b[0].hex(), b[1]) for n, b in bounds.items() if b is not None
+        }
+
+        shuffled = data.draw(st.permutations(rows))
+        assert monotonicity_audit(make_table(shuffled), tolerance) == report
+        n, e = data.draw(st.sampled_from(rows))
+        higher = make_table(rows + [(n, e + 1.0 + abs(e))])
+        assert monotonicity_audit(higher, tolerance) == report
+
+    def test_flagged_row_whose_bound_rounds_to_its_energy(self):
+        # eps(21) is one unit in the last place below eps(20), but 20 * 19 * eps(21)
+        # rounds back to E(20): the row is flagged and gets no bound.
+        rows = [(20, 379.9999999999998), (21, 419.9999999999997)]
+        report = monotonicity_audit(make_table(rows), 0.0)
+        assert [(v.n, v.gap) for v in report.violations] == [(20, 1)]
+        assert report.improved_bounds == {}
+        assert audit_oracle(rows, 0.0)[1] == {20: None}
+
+
 class TestEnergyTableIngestion:
     def test_duplicate_keeps_lower(self, caplog):
         t = EnergyTable()
@@ -186,6 +266,12 @@ class TestEnergyTableIngestion:
         with pytest.raises(ValueError, match="finite"):
             t.add(5, energy)
         assert t.entries == {}
+
+    def test_signed_zero_duplicates_give_one_table(self):
+        a = make_table([(2, 0.0), (2, -0.0), (3, -1.0)])
+        b = make_table([(2, -0.0), (2, 0.0), (3, -1.0)])
+        assert a.energy(2).hex() == b.energy(2).hex() == "-0x0.0p+0"
+        assert monotonicity_audit(a) == monotonicity_audit(b)
 
     def test_digest_ignores_labels_and_order(self):
         a = EnergyTable()

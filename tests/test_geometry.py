@@ -314,6 +314,18 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="torus point lies"):
             c.validate()
 
+    # Coordinates of size R round at about R * 2^-53, so the tolerance scales
+    # with |p|: a fixed 1e-12 refused these draws (2.5e-12 off at R = 1e4).
+    @pytest.mark.parametrize("ratio", [1e4, 1e6])
+    def test_validate_accepts_large_aspect_ratio_draws(self, ratio):
+        random_configuration(torus(ratio), 2000, 0).validate()
+
+    def test_validate_catches_scaled_point_at_large_aspect_ratio(self):
+        pts = random_configuration(torus(1e6), 20, 0).points
+        pts[3] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="torus point lies"):
+            Configuration(torus(1e6), pts).validate()
+
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: d.kind)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_validate_refuses_non_finite_points(self, domain, bad):

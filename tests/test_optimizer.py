@@ -455,8 +455,8 @@ class TestBuildTable:
         table = build_table(sphere(), INVERSE_R, [2], settings)
         assert table.metadata.domain == sphere()
         assert table.metadata.potential == INVERSE_R
-        assert "restarts=5" in table.entries[2].label
-        assert "seed=9" in table.entries[2].label
+        assert "restarts=5" in table.metadata.source
+        assert "seed=9" in table.metadata.source
 
     def test_header_names_the_step_rule(self):
         settings = OptimizerSettings(restarts=2, seed=9)

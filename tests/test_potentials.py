@@ -188,6 +188,29 @@ class TestTotalEnergy:
         with pytest.raises(ValueError):
             total_energy(ANTIPODAL, lennard_jones())
 
+    # The points-level functions take the (N >= 2, 3) arrays that a
+    # Configuration holds, and read a nested list as its array.
+    @pytest.mark.parametrize("of_points", [total_energy_of_points, energy_gradient_of_points],
+                             ids=["energy", "gradient"])
+    @pytest.mark.parametrize("domain, shape", [(sphere(), (3, 2)), (free3(), (4, 5)),
+                                               (sphere(), (1, 3)), (free3(), (6,))],
+                             ids=["2-columns", "5-columns", "one-point", "flat"])
+    def test_points_of_the_wrong_shape_rejected(self, of_points, domain, shape):
+        with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+            of_points(np.ones(shape), domain, log_coulomb())
+
+    @pytest.mark.parametrize("of_points", [total_energy_of_points, energy_gradient_of_points],
+                             ids=["energy", "gradient"])
+    def test_list_of_points_gives_the_bits_of_the_array(self, of_points):
+        points = random_configuration(sphere(), 7, 3).points
+        from_list = of_points(points.tolist(), sphere(), riesz(-1.0))
+        from_array = of_points(points, sphere(), riesz(-1.0))
+        if of_points is total_energy_of_points:
+            assert from_list.hex() == from_array.hex()
+        else:
+            assert from_list[0].hex() == from_array[0].hex()
+            assert from_list[1].tobytes() == from_array[1].tobytes()
+
     # At 10^-25.66 each pair energy is finite but their sum is not; at 1e-60
     # r^-6 itself overflows.
     @pytest.mark.parametrize("size", [10.0 ** -25.66, 1e-60], ids=["sum", "r6"])
